@@ -1,96 +1,19 @@
 """Exact q-series engine for the Rogers-Ramanujan continued fraction family.
 
 Everything is computed over plain Python integers: truncated power series
-arithmetic (:mod:`qser.series`), q-Pochhammer product expansion
-(:mod:`qser.products`), a registry of named series built from those products
+arithmetic (:mod:`qser.series`), q-Pochhammer product and theta series
+expansion (:mod:`qser.products`), a registry of named series built from them
 (:mod:`qser.catalog`), and identity verification plus coefficient-sign
 scanning (:mod:`qser.checks`). The ``qser`` command line lives in
 :mod:`qser.cli`.
 """
 
-from .catalog import ALIASES, NAMES, build, build_sum_form, clear_cache, coefficient
-from .checks import (
-    CONJ13_A,
-    CONJ13_B,
-    CONJ13_D,
-    RICHMOND_C,
-    RICHMOND_D,
-    THM2_A,
-    THM3_B,
-    THM4_C,
-    THM5_D,
-    AsymptoticScan,
-    Conjecture13Result,
-    Divergence,
-    Report,
-    Sign,
-    SignPattern,
-    Status,
-    Violation,
-    asymptotic_c,
-    check_conjecture13,
-    scan_asymptotic,
-    scan_signs,
-    verify_dissection,
-    verify_genfun,
-    verify_identity_B20,
-    verify_identity_R5,
-)
-from .products import ProductSpec, euler_f, expand_product, pochhammer_inf
-from .series import (
-    NegativeShiftNonzeroLowTerms,
-    NonUnitConstantTerm,
-    NonUnitLeadingCoefficient,
-    Series,
-    SeriesError,
-    ValuationMismatch,
-    ZeroDivisor,
-)
+from . import catalog, checks, products, series
+from .catalog import *
+from .checks import *
+from .products import *
+from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Series",
-    "SeriesError",
-    "NonUnitConstantTerm",
-    "NonUnitLeadingCoefficient",
-    "ValuationMismatch",
-    "ZeroDivisor",
-    "NegativeShiftNonzeroLowTerms",
-    "ProductSpec",
-    "pochhammer_inf",
-    "euler_f",
-    "expand_product",
-    "NAMES",
-    "ALIASES",
-    "build",
-    "build_sum_form",
-    "coefficient",
-    "clear_cache",
-    "Sign",
-    "Status",
-    "SignPattern",
-    "Report",
-    "Divergence",
-    "Violation",
-    "RICHMOND_C",
-    "RICHMOND_D",
-    "THM2_A",
-    "THM3_B",
-    "THM4_C",
-    "THM5_D",
-    "CONJ13_A",
-    "CONJ13_B",
-    "CONJ13_D",
-    "AsymptoticScan",
-    "Conjecture13Result",
-    "verify_identity_B20",
-    "verify_identity_R5",
-    "verify_genfun",
-    "verify_dissection",
-    "scan_signs",
-    "check_conjecture13",
-    "asymptotic_c",
-    "scan_asymptotic",
-    "__version__",
-]
+__all__ = catalog.__all__ + checks.__all__ + products.__all__ + series.__all__ + ["__version__"]

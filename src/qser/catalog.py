@@ -1,19 +1,24 @@
 """Registry of named series built from q-Pochhammer products.
 
 Every series the package knows by name lives here, each with a single
-canonical recipe:
+canonical recipe.  With T(a, m) = theta(a, m), the sparse Jacobi triple
+product (q**a;q**m)(q**(m-a);q**m)(q**m;q**m):
 
-* ``G``, ``H``: the two sum-equals-product series, as products
-  1/((q;q5)(q4;q5)) and 1/((q2;q5)(q3;q5)).
-* ``G_sum``, ``H_sum``: the same values via partial sums of
-  q**(n*n) / (q;q)_n (resp. q**(n*n+n)); kept as an independent
-  cross-check of the product recipes.
-* ``R = H/G`` and its inverse ``Rinv``; fifth powers ``R5``, ``R5inv``;
-  ``Rq5 = R(q**5)``; the ratios ``Cratio = R5/Rq5`` and
-  ``Dratio = Rq5/R5``; the Euler-product ratios ``Fratio15 = f1**6/f5**6``
-  and ``Fratio51 = f5**6/f1**6``.
+* ``G = T(5,15)/T(1,5)`` and ``H = T(5,15)/T(2,5)``, the two
+  sum-equals-product series 1/((q;q5)(q4;q5)) and 1/((q2;q5)(q3;q5)).
+* ``R = T(1,5)/T(2,5)``, which is H/G, and its inverse
+  ``Rinv = T(2,5)/T(1,5)``.
+* ``G_sum``, ``H_sum``: G and H via partial sums of q**(n*n) / (q;q)_n
+  (resp. q**(n*n+n)); kept as an independent cross-check of the theta
+  recipes.
+* Fifth powers ``R5 = R**5``, ``R5inv = Rinv**5``; ``Rq5 = R(q**5)``; the
+  ratios ``Cratio = R5 * Rinv(q**5)`` and ``Dratio = Rq5 * R5inv``; the
+  Euler-product ratios ``Fratio15 = f1**6/f5**6`` and
+  ``Fratio51 = f5**6/f1**6``.
 * Single-letter aliases for the coefficient families: ``A`` (R5inv),
   ``B`` (R5), ``C`` (Cratio), ``D`` (Dratio), ``c`` (Rinv), ``d`` (R).
+
+Recipes divide only in the four theta quotients and in the sum forms.
 
 Builds are cached per canonical name at the largest precision seen, with
 shorter requests answered by truncation, so every earlier coefficient is
@@ -24,14 +29,13 @@ from __future__ import annotations
 
 import threading
 
-from .products import ProductSpec, expand_product
+from .products import ProductSpec, expand_product, theta
 from .series import Series
 
 __all__ = [
     "NAMES",
     "ALIASES",
     "build",
-    "build_sum_form",
     "coefficient",
     "clear_cache",
 ]
@@ -67,9 +71,15 @@ ALIASES = {
     "d": "R",
 }
 
+# numerator and denominator (a, m) of theta(a, m, prec)
+_THETA_QUOTIENTS = {
+    "G": ((5, 15), (1, 5)),
+    "H": ((5, 15), (2, 5)),
+    "R": ((1, 5), (2, 5)),
+    "Rinv": ((2, 5), (1, 5)),
+}
+
 _PRODUCT_SPECS = {
-    "G": ProductSpec(((1, 5, -1), (4, 5, -1))),
-    "H": ProductSpec(((2, 5, -1), (3, 5, -1))),
     "Fratio15": ProductSpec(((1, 1, 6), (5, 5, -6))),
     "Fratio51": ProductSpec(((5, 5, 6), (1, 1, -6))),
 }
@@ -113,26 +123,29 @@ def _sum_form(name: str, prec: int) -> Series:
         n += 1
 
 
+def _at_q5(name: str, prec: int) -> Series:
+    # the named series with q replaced by q**5
+    return build(name, -(-prec // 5)).substitute_qm(5).truncate(prec)
+
+
 def _compute(key: str, prec: int) -> Series:
+    if key in _THETA_QUOTIENTS:
+        num, den = _THETA_QUOTIENTS[key]
+        return theta(*num, prec) / theta(*den, prec)
     if key in _PRODUCT_SPECS:
         return expand_product(_PRODUCT_SPECS[key], prec)
     if key in ("G_sum", "H_sum"):
         return _sum_form(key, prec)
-    if key == "R":
-        return build("H", prec) / build("G", prec)
-    if key == "Rinv":
-        return build("R", prec).inverse()
     if key == "R5":
         return build("R", prec) ** 5
     if key == "R5inv":
         return build("Rinv", prec) ** 5
     if key == "Rq5":
-        inner = -(-prec // 5)
-        return build("R", inner).substitute_qm(5).truncate(prec)
+        return _at_q5("R", prec)
     if key == "Cratio":
-        return build("R5", prec) / build("Rq5", prec)
+        return build("R5", prec) * _at_q5("Rinv", prec)
     if key == "Dratio":
-        return build("Rq5", prec) / build("R5", prec)
+        return build("Rq5", prec) * build("R5inv", prec)
     raise AssertionError(f"no recipe for {key!r}")
 
 
@@ -157,13 +170,6 @@ def build(name: str, prec: int) -> Series:
                 _cache[key] = out
                 hit = out
     return hit.truncate(prec)
-
-
-def build_sum_form(name: str, prec: int) -> Series:
-    """Partial-sum recipe for G_sum or H_sum (the cross-check forms)."""
-    if name not in ("G_sum", "H_sum"):
-        raise ValueError(f"no sum form for {name!r}")
-    return build(name, prec)
 
 
 def coefficient(name: str, n: int) -> int:

@@ -32,6 +32,7 @@ __all__ = [
     "SignPattern",
     "Report",
     "Conjecture13Result",
+    "AsymptoticScan",
     "MAX_VIOLATIONS",
     "RICHMOND_C",
     "RICHMOND_D",
@@ -356,12 +357,13 @@ def check_conjecture13(n_max: int) -> Conjecture13Result:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return Conjecture13Result(
-        n_max,
-        scan_signs("A", CONJ13_A, 5 * n_max, subject="conjecture13-A"),
-        scan_signs("B", CONJ13_B, 5 * n_max, subject="conjecture13-B"),
-        scan_signs("D", CONJ13_D, 5 * n_max + 1, subject="conjecture13-D"),
-    )
+    # B first builds R to 5*n_max + 1; D then needs R only to n_max + 1 (for
+    # R(q**5)) and builds R5inv to 5*n_max + 2, which A reads as a prefix.
+    # Any other order computes R or R5inv twice.
+    b = scan_signs("B", CONJ13_B, 5 * n_max, subject="conjecture13-B")
+    d = scan_signs("D", CONJ13_D, 5 * n_max + 1, subject="conjecture13-D")
+    a = scan_signs("A", CONJ13_A, 5 * n_max, subject="conjecture13-A")
+    return Conjecture13Result(n_max, a, b, d)
 
 
 # -- asymptotic cross-check --------------------------------------------------

@@ -4,8 +4,10 @@ Building blocks:
 
 * ``pochhammer_inf(a, m, prec)``: the product of (1 - q**(a+k*m)) over all
   k >= 0, multiplied out factor by factor with immediate truncation.
-* ``euler_f(k, prec)``: (q**k; q**k)_inf, using the pentagonal-number sparse
-  expansion of (q; q)_inf as a fast path.
+* ``theta(a, m, prec)``: (q**a; q**m)_inf (q**(m-a); q**m)_inf (q**m; q**m)_inf
+  for 0 < a < m, as the sparse sum given by the Jacobi triple product.
+* ``euler_f(k, prec)``: (q**k; q**k)_inf = theta(k, 3k, prec), Euler's
+  pentagonal number theorem.
 * ``expand_product(spec, prec)``: an arbitrary product of such factors with
   integer exponents, e.g. eta-quotient style ratios like f5**6 / f1**6.
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .series import Series
 
-__all__ = ["ProductSpec", "pochhammer_inf", "euler_f", "expand_product"]
+__all__ = ["ProductSpec", "pochhammer_inf", "theta", "euler_f", "expand_product"]
 
 
 @dataclass(frozen=True)
@@ -72,42 +74,35 @@ def pochhammer_inf(a: int, m: int, prec: int) -> Series:
     return Series(coeffs)
 
 
-def _pentagonal_terms(prec: int):
-    """Yield (exponent, sign) for the sparse expansion of (q; q)_inf.
+def theta(a: int, m: int, prec: int) -> Series:
+    """Sum of (-1)**j q**(m*j*(j-1)/2 + a*j) over all integers j, for 0 < a < m.
 
-    Exponents are the generalized pentagonal numbers j*(3j-1)/2 for
-    j = 1, -1, 2, -2, ..., each with sign (-1)**j.
+    By the Jacobi triple product this equals the expanded product
+    (q**a; q**m)_inf (q**(m-a); q**m)_inf (q**m; q**m)_inf, with only
+    O(sqrt(prec/m)) nonzero terms.  The exponents grow with |j| on both
+    sides of j = 0, and they coincide in pairs when m = 2a, hence ``+=``.
     """
-    yield 0, 1
-    j = 1
-    while True:
-        e = j * (3 * j - 1) // 2
-        if e >= prec:
-            return
-        sign = -1 if j & 1 else 1
-        yield e, sign
-        e = j * (3 * j + 1) // 2
-        if e < prec:
-            yield e, sign
-        j += 1
+    if not 0 < a < m:
+        raise ValueError(f"need 0 < a < m, got a={a}, m={m}")
+    if prec < 0:
+        raise ValueError(f"precision must be >= 0, got {prec}")
+    coeffs = [0] * prec
+    for j, step in ((0, 1), (-1, -1)):
+        while (e := m * j * (j - 1) // 2 + a * j) < prec:
+            coeffs[e] += -1 if j & 1 else 1
+            j += step
+    return Series(coeffs)
 
 
 def euler_f(k: int, prec: int) -> Series:
     """(q**k; q**k)_inf, the same value as pochhammer_inf(k, k, prec).
 
-    Uses the pentagonal-number sparse series, which is exactly the expanded
-    product (equality against the factor-by-factor expansion is enforced in
-    the test suite).
+    Euler's pentagonal number theorem is the triple product with a = k, m = 3k:
+    (q**k; q**3k)(q**2k; q**3k)(q**3k; q**3k) = (q**k; q**k).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if prec < 0:
-        raise ValueError(f"precision must be >= 0, got {prec}")
-    coeffs = [0] * prec
-    for e, sign in _pentagonal_terms((prec + k - 1) // k if k > 1 else prec):
-        if e * k < prec:
-            coeffs[e * k] = sign
-    return Series(coeffs)
+    return theta(k, 3 * k, prec)
 
 
 def expand_product(spec: ProductSpec, prec: int) -> Series:

@@ -104,8 +104,8 @@ def test_criterion_6_conjecture13_reproduction(capsys):
 
 def test_criterion_7_oracle_equivalences(capsys):
     sum_ok = (
-        catalog.build_sum_form("G_sum", 200) == catalog.build("G", 200)
-        and catalog.build_sum_form("H_sum", 200) == catalog.build("H", 200)
+        catalog.build("G_sum", 200) == catalog.build("G", 200)
+        and catalog.build("H_sum", 200) == catalog.build("H", 200)
     )
     pent_ok = euler_f(1, 500) == pochhammer_inf(1, 1, 500)
     report_line(capsys, sum_ok and pent_ok, 7,

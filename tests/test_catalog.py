@@ -23,6 +23,16 @@ DD_PREFIX = [1, 5, 10, 5, -15, -25, 10]
 G_PREFIX = [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9]
 H_PREFIX = [1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6]
 
+# both sides of the Newton cutoff (32) and the Kronecker switch-overs (64, 224)
+SIZES = (1, 2, 31, 32, 33, 64, 65, 224, 1000)
+
+# dense Pochhammer product forms of R, G and H, independent of the theta recipes
+PRODUCT_FORMS = {
+    "R": ProductSpec(((1, 5, 1), (4, 5, 1), (2, 5, -1), (3, 5, -1))),
+    "G": ProductSpec(((1, 5, -1), (4, 5, -1))),
+    "H": ProductSpec(((2, 5, -1), (3, 5, -1))),
+}
+
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
@@ -69,18 +79,13 @@ def test_families_match_oracle():
 
 
 def test_sum_forms_equal_product_forms():
-    assert catalog.build_sum_form("G_sum", 200) == catalog.build("G", 200)
-    assert catalog.build_sum_form("H_sum", 200) == catalog.build("H", 200)
+    assert catalog.build("G_sum", 200) == catalog.build("G", 200)
+    assert catalog.build("H_sum", 200) == catalog.build("H", 200)
 
 
 def test_sum_form_small_prefixes():
-    assert list(catalog.build_sum_form("G_sum", 1)) == [1]
-    assert list(catalog.build_sum_form("H_sum", 2)) == [1, 0]
-
-
-def test_sum_form_restricted_to_sum_names():
-    with pytest.raises(ValueError):
-        catalog.build_sum_form("G", 10)
+    assert list(catalog.build("G_sum", 1)) == [1]
+    assert list(catalog.build("H_sum", 2)) == [1, 0]
 
 
 @pytest.mark.parametrize("a,b", [("R", "Rinv"), ("R5", "R5inv"), ("Cratio", "Dratio")])
@@ -89,9 +94,10 @@ def test_inverse_pairs_multiply_to_one(a, b):
 
 
 def test_fifth_powers():
-    r = catalog.build("R", 60)
-    assert catalog.build("R5", 60) == r**5
-    assert catalog.build("R5inv", 60) == (r**5).inverse()
+    for n in SIZES:
+        r = catalog.build("R", n)
+        assert catalog.build("R5", n) == r**5, n
+        assert catalog.build("R5inv", n) == (r**5).inverse(), n
 
 
 def test_rq5_is_r_with_spread_support():
@@ -101,17 +107,23 @@ def test_rq5_is_r_with_spread_support():
 
 
 def test_r_equals_its_four_factor_product_form():
-    spec = ProductSpec(((1, 5, 1), (4, 5, 1), (2, 5, -1), (3, 5, -1)))
-    assert catalog.build("R", 120) == expand_product(spec, 120)
+    # and G, H against their two-factor product forms
+    for n in SIZES:
+        for name, spec in PRODUCT_FORMS.items():
+            assert catalog.build(name, n) == expand_product(spec, n), (name, n)
 
 
 def test_r_is_h_over_g():
-    assert catalog.build("R", 120) == catalog.build("H", 120) / catalog.build("G", 120)
+    for n in SIZES:
+        assert catalog.build("R", n) == catalog.build("H", n) / catalog.build("G", n), n
 
 
 def test_cratio_times_rq5_recovers_r5():
-    prec = 80
-    assert catalog.build("Cratio", prec) * catalog.build("Rq5", prec) == catalog.build("R5", prec)
+    # and Dratio against the quotient Rq5 / R5
+    for n in SIZES:
+        rq5, r5 = catalog.build("Rq5", n), catalog.build("R5", n)
+        assert catalog.build("Cratio", n) * rq5 == r5, n
+        assert catalog.build("Dratio", n) == rq5 / r5, n
 
 
 def test_coefficient_values():

@@ -1,6 +1,7 @@
 """Identity verification, sign scans, and the asymptotic cross-check."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -175,6 +176,19 @@ def test_conjecture13_scan_bounds():
     assert result.a.order_checked == 60
     assert result.b.order_checked == 60
     assert result.d.order_checked == 61
+
+
+def test_conjecture13_computes_each_name_once(monkeypatch):
+    counts = Counter()
+    compute = catalog._compute
+
+    def counting(key, prec):
+        counts[key] += 1
+        return compute(key, prec)
+
+    monkeypatch.setattr(catalog, "_compute", counting)
+    checks.check_conjecture13(20)
+    assert counts and max(counts.values()) == 1, counts
 
 
 def test_conjecture13_at_period_zero():

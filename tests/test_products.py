@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracle
-from qser.products import ProductSpec, euler_f, expand_product, pochhammer_inf
+from qser.products import ProductSpec, euler_f, expand_product, pochhammer_inf, theta
 from qser.series import Series
 
 R_FACTORS = ((1, 5, 1), (4, 5, 1), (2, 5, -1), (3, 5, -1))
@@ -23,12 +23,14 @@ def test_pochhammer_truncates_unused_factors():
 def test_zero_precision():
     assert pochhammer_inf(1, 5, 0).prec == 0
     assert euler_f(1, 0).prec == 0
+    assert theta(1, 5, 0).prec == 0
     assert expand_product(ProductSpec(R_FACTORS), 0).prec == 0
 
 
 def test_precision_one_is_constant_term():
     assert list(pochhammer_inf(3, 7, 1)) == [1]
     assert list(euler_f(4, 1)) == [1]
+    assert list(theta(2, 5, 1)) == [1]
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 25])
@@ -46,6 +48,13 @@ def test_pochhammer_against_oracle():
         a = rng.randint(1, 6)
         m = rng.randint(1, 6)
         assert list(pochhammer_inf(a, m, 30)) == oracle.poch(a, m, 30)
+    # theta is the Jacobi triple product of three Pochhammer factors; with
+    # m = 2a, as in (1, 2), the terms j and -j share an exponent
+    for a, m in ((1, 5), (2, 5), (5, 15), (1, 3), (2, 7), (1, 2)):
+        for n in range(61):
+            triple = oracle.mul(oracle.mul(oracle.poch(a, m, n), oracle.poch(m - a, m, n), n),
+                                oracle.poch(m, m, n), n)
+            assert list(theta(a, m, n)) == triple, (a, m, n)
 
 
 def test_euler_f5_support_is_multiples_of_five():
@@ -113,6 +122,11 @@ def test_spec_validation():
         pochhammer_inf(1, 1, -1)
     with pytest.raises(ValueError):
         euler_f(0, 10)
+    for a, m in ((0, 5), (-1, 5), (5, 5), (6, 5)):
+        with pytest.raises(ValueError):
+            theta(a, m, 10)
+    with pytest.raises(ValueError):
+        theta(1, 5, -1)
     with pytest.raises(ValueError):
         expand_product(ProductSpec(), -1)
 
