@@ -100,27 +100,19 @@ def _canonical(name: str) -> str:
     return ALIASES.get(name, name)
 
 
-def _finite_poch(n: int, prec: int) -> Series:
-    # (q; q)_n = prod_{k=1..n} (1 - q**k), truncated
-    coeffs = [1] + [0] * (prec - 1)
-    for k in range(1, n + 1):
-        if k >= prec:
-            break
-        coeffs[k:] = [x - y for x, y in zip(coeffs[k:], coeffs)]
-    return Series(coeffs)
-
-
 def _sum_form(name: str, prec: int) -> Series:
     # partial sum of q**e(n) / (q;q)_n with e = n*n (G) or n*n + n (H);
-    # terms with e >= prec vanish below the truncation order
+    # terms with e >= prec vanish below the truncation order.  `recip` holds
+    # 1/(q;q)_n, extended to n + 1 by dividing once more by (1 - q**(n+1)).
     total = Series.zero(prec)
+    recip = [1] + [0] * (prec - 1)
     n = 0
-    while True:
-        e = n * n + (n if name == "H_sum" else 0)
-        if e >= prec:
-            return total
-        total = total + _finite_poch(n, prec - e).inverse().shift(e)
+    while (e := n * n + (n if name == "H_sum" else 0)) < prec:
+        total = total + Series(recip[:prec - e]).shift(e)
         n += 1
+        for k in range(n, prec):
+            recip[k] += recip[k - n]
+    return total
 
 
 def _at_q5(name: str, prec: int) -> Series:

@@ -56,9 +56,6 @@ class NegativeShiftNonzeroLowTerms(SeriesError):
 _KRONECKER_MIN_LEN = 64
 _KRONECKER_MIN_WORK = 50_000
 
-# inverse(): recursive convolution up to this length, Newton doubling beyond.
-_NEWTON_CUTOFF = 32
-
 
 def _mul_schoolbook(a: tuple, b: tuple, n: int) -> list:
     nza = [(i, v) for i, v in enumerate(a) if v]
@@ -128,32 +125,22 @@ def _mul_lists(a: tuple, b: tuple, n: int) -> list:
     return _mul_schoolbook(a, b, n)
 
 
-def _inverse_recursive(a: tuple, n: int) -> list:
+def _inverse(a: tuple) -> list:
+    # Power-series division (Knuth, TAOCP vol. 2, 4.7): b_0 = a_0 and
+    # b_k = -a_0 * sum(a_i * b_(k-i)) over the nonzero a_i with 1 <= i <= k
+    # (a_0 = +-1 is its own inverse).  O(n * nnz), so a sparse theta divisor
+    # is cheap.
     a0 = a[0]
-    b = [0] * n
-    b[0] = a0
-    for k in range(1, n):
+    terms = [(i, -a0 * v) for i, v in enumerate(a) if i and v]
+    b = [a0] + [0] * (len(a) - 1)
+    for k in range(1, len(a)):
         s = 0
-        for i in range(1, k + 1):
-            ai = a[i]
-            if ai:
-                s += ai * b[k - i]
-        b[k] = -a0 * s
+        for i, c in terms:
+            if i > k:
+                break
+            s += c * b[k - i]
+        b[k] = s
     return b
-
-
-def _inverse_newton(a: tuple, n: int) -> list:
-    # x -> x * (2 - a*x) doubles the number of correct coefficients; the
-    # inverse is unique, so this agrees with the recursive definition exactly.
-    x = [a[0]]
-    k = 1
-    while k < n:
-        k = min(2 * k, n)
-        ax = _mul_lists(a[:k], tuple(x), k)
-        t = [-v for v in ax]
-        t[0] += 2
-        x = _mul_lists(tuple(x), tuple(t), k)
-    return x
 
 
 class Series:
@@ -188,13 +175,13 @@ class Series:
 
     @classmethod
     def zero(cls, prec: int) -> "Series":
+        if prec < 0:
+            raise ValueError(f"precision must be >= 0, got {prec}")
         return cls._make((0,) * prec)
 
     @classmethod
     def one(cls, prec: int) -> "Series":
-        if prec == 0:
-            return cls._make(())
-        return cls._make((1,) + (0,) * (prec - 1))
+        return cls.monomial(1, 0, prec)
 
     @classmethod
     def monomial(cls, coeff: int, exponent: int, prec: int) -> "Series":
@@ -202,6 +189,7 @@ class Series:
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
         if exponent >= prec:
+            # also the only path for prec < 0, which zero() rejects
             return cls.zero(prec)
         return cls._make((0,) * exponent + (coeff,) + (0,) * (prec - exponent - 1))
 
@@ -335,12 +323,7 @@ class Series:
         if self.prec == 0 or self.coeffs[0] not in (1, -1):
             head = self.coeffs[0] if self.prec else "unknown"
             raise NonUnitConstantTerm(f"constant term must be +1 or -1, got {head}")
-        n = self.prec
-        if n <= _NEWTON_CUTOFF:
-            out = _inverse_recursive(self.coeffs, n)
-        else:
-            out = _inverse_newton(self.coeffs, n)
-        return Series._make(tuple(out))
+        return Series._make(tuple(_inverse(self.coeffs)))
 
     def __truediv__(self, other) -> "Series":
         if not isinstance(other, Series):

@@ -6,10 +6,12 @@ with its timing against the stated budget. Timed criteria clear the series
 cache first so every measurement is a cold build.
 """
 
+import os
 import subprocess
 import sys
 import time
 
+import qser
 from qser import catalog, checks
 from qser.products import euler_f, pochhammer_inf
 
@@ -128,8 +130,12 @@ def test_criterion_8_asymptotic_cross_check(capsys):
 
 def test_criterion_9_deterministic_output(capsys):
     argv = [sys.executable, "-m", "qser", "verify", "all", "--order", "300", "--format", "json"]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    # the child imports the same qser as this process, installed or not
+    src = os.path.dirname(os.path.dirname(qser.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(argv, capture_output=True, env=env)
+    second = subprocess.run(argv, capture_output=True, env=env)
     ok = (
         first.returncode == 0
         and second.returncode == 0

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import oracle
+from qser.products import theta
 from qser.series import (
     NegativeShiftNonzeroLowTerms,
     NonUnitConstantTerm,
@@ -56,6 +57,15 @@ def test_zero_one_monomial():
     assert list(Series.one(3)) == [1, 0, 0]
     assert list(Series.monomial(7, 2, 5)) == [0, 0, 7, 0, 0]
     assert Series.one(0).prec == 0
+
+
+def test_negative_precision_rejected():
+    with pytest.raises(ValueError, match="precision must be >= 0, got -2"):
+        Series.zero(-2)
+    with pytest.raises(ValueError, match="precision must be >= 0, got -3"):
+        Series.one(-3)
+    with pytest.raises(ValueError, match="precision must be >= 0, got -1"):
+        Series.monomial(5, 0, -1)
 
 
 def test_monomial_beyond_prec_is_zero_series():
@@ -242,23 +252,30 @@ def test_inverse_is_involution():
         assert s * s.inverse() == Series.one(50)
 
 
-def test_newton_matches_recursive_inverse():
-    # the two code paths split at prec 32; compare them on the same input
-    from qser.series import _inverse_newton, _inverse_recursive
-
-    rng = random.Random(99)
-    for _ in range(20):
-        n = rng.randint(33, 128)
-        coeffs = tuple([rng.choice((1, -1))] + [rng.randint(-9, 9) for _ in range(n - 1)])
-        assert _inverse_newton(coeffs, n) == _inverse_recursive(coeffs, n)
-
-
 def test_inverse_against_oracle():
+    # one path at every size: dense random inputs with either unit constant
+    # term, and sparse divisors (theta series, 1 - q**k) of either sign
     rng = random.Random(11)
-    for _ in range(20):
-        n = rng.randint(1, 40)
-        coeffs = [rng.choice((1, -1))] + [rng.randint(-5, 5) for _ in range(n - 1)]
-        assert list(Series(coeffs).inverse()) == oracle.inv(coeffs, n)
+    for n in range(1, 129):
+        inputs = [
+            [a0] + [rng.randint(-5, 5) for _ in range(n - 1)] for a0 in (1, -1)
+        ]
+        for sparse in (
+            theta(1, 5, n),
+            theta(2, 5, n),
+            Series.one(n) - Series.monomial(1, 1 + n % 7, n),
+        ):
+            inputs += [list(sparse), list(-sparse)]
+        for coeffs in inputs:
+            assert list(Series(coeffs).inverse()) == oracle.inv(coeffs, n)
+
+
+def test_theta_inverse_at_scan_size():
+    # the richmond scans divide by both theta series at this size; the
+    # product runs through the Kronecker multiply
+    for a in (1, 2):
+        t = theta(a, 5, 5001)
+        assert t * t.inverse() == Series.one(5001)
 
 
 def test_division_examples():
