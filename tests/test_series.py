@@ -253,7 +253,7 @@ def test_inverse_is_involution():
 
 
 def test_inverse_against_oracle():
-    # one path at every size: dense random inputs with either unit constant
+    # every size to 128: dense random inputs with either unit constant
     # term, and sparse divisors (theta series, 1 - q**k) of either sign
     rng = random.Random(11)
     for n in range(1, 129):
