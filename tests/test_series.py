@@ -252,6 +252,20 @@ def test_inverse_is_involution():
         assert s * s.inverse() == Series.one(50)
 
 
+def test_newton_matches_recursive_inverse():
+    # the inputs that once split between a Newton iteration (prec > 32) and
+    # the plain recurrence: dense random unit series of size 33..128.  The
+    # division recurrence must give the oracle's inverse and multiply back
+    # to one (sizes above the schoolbook cutoff go through Kronecker)
+    rng = random.Random(99)
+    for _ in range(20):
+        n = rng.randint(33, 128)
+        coeffs = [rng.choice((1, -1))] + [rng.randint(-9, 9) for _ in range(n - 1)]
+        s = Series(coeffs)
+        assert list(s.inverse()) == oracle.inv(coeffs, n)
+        assert s * s.inverse() == Series.one(n)
+
+
 def test_inverse_against_oracle():
     # every size to 128: dense random inputs with either unit constant
     # term, and sparse divisors (theta series, 1 - q**k) of either sign
