@@ -22,7 +22,8 @@ Recipes divide only in the four theta quotients and in the sum forms.
 
 Builds are cached per canonical name at the largest precision seen, with
 shorter requests answered by truncation, so every earlier coefficient is
-stable under rebuilding at higher precision.
+stable under rebuilding at higher precision.  No build goes past MAX_PREC
+coefficients.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .series import Series
 __all__ = [
     "NAMES",
     "ALIASES",
+    "MAX_PREC",
+    "PrecisionTooLarge",
     "build",
     "coefficient",
     "clear_cache",
@@ -83,6 +86,17 @@ _PRODUCT_SPECS = {
     "Fratio15": ProductSpec(((1, 1, 6), (5, 5, -6))),
     "Fratio51": ProductSpec(((5, 5, 6), (1, 1, -6))),
 }
+
+# The precision ceiling: four times the deepest scans (n = 25,000, or
+# conjecture13 to n_max = 5,000 at 5*n_max + 2).  A cold build of A took
+# 32 s and 57 MB at 25,001 and 183 s and 133 MB at 50,001 (CPython 3.11,
+# 2-vCPU Xeon); cost grows faster than n**2, so 10**8 would never finish.
+MAX_PREC = 100_000
+
+
+class PrecisionTooLarge(ValueError):
+    """A build asked for more than MAX_PREC coefficients."""
+
 
 _cache: dict[str, Series] = {}
 _cache_lock = threading.Lock()
@@ -150,6 +164,10 @@ def build(name: str, prec: int) -> Series:
     key = _canonical(name)
     if prec < 0:
         raise ValueError(f"precision must be >= 0, got {prec}")
+    if prec > MAX_PREC:
+        raise PrecisionTooLarge(
+            f"{name} needs {prec} coefficients, past the precision ceiling of {MAX_PREC}"
+        )
     if prec == 0:
         return Series.zero(0)
     with _cache_lock:
@@ -167,8 +185,9 @@ def build(name: str, prec: int) -> Series:
 def coefficient(name: str, n: int) -> int:
     """Exact coefficient of q**n in the named series.
 
-    Grows the cache geometrically so sequential queries for increasing n
-    cost amortized O(1) builds rather than one build per query.
+    Grows the cache geometrically, up to MAX_PREC, so sequential queries
+    for increasing n cost amortized O(1) builds rather than one build per
+    query.
     """
     key = _canonical(name)
     if n < 0:
@@ -177,5 +196,5 @@ def coefficient(name: str, n: int) -> int:
         hit = _cache.get(key)
     if hit is not None and hit.prec > n:
         return hit[n]
-    target = max(n + 1, 64, 2 * (hit.prec if hit is not None else 0))
+    target = max(n + 1, min(MAX_PREC, max(64, 2 * (hit.prec if hit is not None else 0))))
     return build(key, target)[n]

@@ -57,6 +57,10 @@ __all__ = [
 # still computed from the full set before capping.
 MAX_VIOLATIONS = 20
 
+ASYMPTOTIC_N_MIN = 100
+ASYMPTOTIC_COS_CUTOFF = 0.1
+ASYMPTOTIC_MIN_AGREEMENT = 0.99
+
 
 class Sign(Enum):
     POS = "pos"
@@ -281,7 +285,6 @@ def scan_signs(
     pattern: SignPattern,
     n_max: int,
     subject: str | None = None,
-    max_violations: int = MAX_VIOLATIONS,
 ) -> Report:
     """Check coefficients 0..n_max of the named series against a pattern.
 
@@ -315,10 +318,10 @@ def scan_signs(
             subject,
             n_max,
             Status.FALSIFIED,
-            violations=tuple(violations[:max_violations]),
+            violations=tuple(violations[:MAX_VIOLATIONS]),
             falsified_at=falsified,
         )
-    return Report(subject, n_max, Status.VIOLATED, violations=tuple(violations[:max_violations]))
+    return Report(subject, n_max, Status.VIOLATED, violations=tuple(violations[:MAX_VIOLATIONS]))
 
 
 @dataclass(frozen=True)
@@ -400,26 +403,23 @@ class AsymptoticScan:
         return self.agreements / self.checked if self.checked else 1.0
 
 
-def scan_asymptotic(
-    n_max: int,
-    n_min: int = 100,
-    cos_cutoff: float = 0.1,
-    min_agreement: float = 0.99,
-) -> AsymptoticScan:
-    """Compare sign(asymptotic_c(n)) with sign(c(n)) over [n_min, n_max].
+def scan_asymptotic(n_max: int) -> AsymptoticScan:
+    """Compare sign(asymptotic_c(n)) with sign(c(n)) over
+    [ASYMPTOTIC_N_MIN, n_max].
 
-    Indices where the cosine factor is within cos_cutoff of zero are
-    skipped: there the main term is too small to fix the sign. VERIFIED
+    Indices where the cosine factor is within ASYMPTOTIC_COS_CUTOFF of zero
+    are skipped: there the main term is too small to fix the sign. VERIFIED
     means the agreement rate over the remaining indices is at least
-    min_agreement; disagreements are reported as violations either way.
+    ASYMPTOTIC_MIN_AGREEMENT; disagreements are reported as violations
+    either way.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    series = catalog.build("c", max(n_max + 1, n_min))
+    series = catalog.build("c", max(n_max + 1, ASYMPTOTIC_N_MIN))
     violations = []
     checked = 0
-    for n in range(n_min, n_max + 1):
-        if abs(_cos_factor(n)) <= cos_cutoff:
+    for n in range(ASYMPTOTIC_N_MIN, n_max + 1):
+        if abs(_cos_factor(n)) <= ASYMPTOTIC_COS_CUTOFF:
             continue
         checked += 1
         exact = series[n]
@@ -427,7 +427,7 @@ def scan_asymptotic(
         if (exact > 0) != (predicted > 0) or exact == 0:
             violations.append(Violation(n, exact, _sign_of(1 if predicted > 0 else -1)))
     agreements = checked - len(violations)
-    ok = checked == 0 or agreements / checked >= min_agreement
+    ok = checked == 0 or agreements / checked >= ASYMPTOTIC_MIN_AGREEMENT
     report = Report(
         "asymptotic-c",
         n_max,

@@ -5,10 +5,11 @@
     qser scan <target>   [--n-max N] [--format table|csv|json]
 
 Exit codes: 0 when the expectation was met, 1 when a mathematical mismatch
-was found, 2 on usage errors. stdout carries data only and is byte-identical
-across identical invocations; diagnostics go to stderr. JSON documents are
-single compact lines with every coefficient value rendered as a decimal
-string, so no consumer ever rounds a big integer.
+was found, 2 on usage errors and on requests past ``catalog.MAX_PREC``
+coefficients. stdout carries data only and is byte-identical across
+identical invocations; diagnostics go to stderr. JSON documents are single
+compact lines with every coefficient value rendered as a decimal string, so
+no consumer ever rounds a big integer.
 """
 
 from __future__ import annotations
@@ -34,27 +35,18 @@ VERIFY_TARGETS = (
     "dissect-C0",
 )
 
-SCAN_TARGETS = (
-    "richmond-c",
-    "richmond-d",
-    "thm2",
-    "thm3",
-    "thm4",
-    "thm5",
-    "conjecture13",
-    "asymptotic-c",
-)
-
 FORMATS = ("table", "csv", "json")
 
 _SIGN_SCANS = {
-    "richmond-c": ("c", "RICHMOND_C"),
-    "richmond-d": ("d", "RICHMOND_D"),
-    "thm2": ("A", "THM2_A"),
-    "thm3": ("B", "THM3_B"),
-    "thm4": ("C", "THM4_C"),
-    "thm5": ("D", "THM5_D"),
+    "richmond-c": ("c", checks.RICHMOND_C),
+    "richmond-d": ("d", checks.RICHMOND_D),
+    "thm2": ("A", checks.THM2_A),
+    "thm3": ("B", checks.THM3_B),
+    "thm4": ("C", checks.THM4_C),
+    "thm5": ("D", checks.THM5_D),
 }
+
+SCAN_TARGETS = (*_SIGN_SCANS, "conjecture13", "asymptotic-c")
 
 
 def _usage_error(message: str) -> int:
@@ -84,6 +76,39 @@ def _report_dict(report: checks.Report) -> dict:
             for v in report.violations
         ],
     }
+
+
+def _print_reports(fmt, reports, doc, csv_tail, width, extras=()) -> None:
+    """Print reports as the JSON doc, as csv rows, or as table lines.
+
+    A csv row carries a report's divergence or one of its violations in the
+    three columns named by csv_tail, or leaves them empty. A table line
+    pads the subject to width; the extras lines follow the table only.
+    """
+    if fmt == "json":
+        _print_json(doc)
+    elif fmt == "csv":
+        print(f"subject,order_checked,status,{csv_tail}")
+        for r in reports:
+            d = r.first_divergence
+            rows = [(d.index, d.lhs, d.rhs)] if d is not None else [
+                (v.index, v.value, v.expected.value) for v in r.violations
+            ]
+            for row in rows or [("", "", "")]:
+                print(",".join(map(str, (r.subject, r.order_checked, r.status.value, *row))))
+    else:
+        for r in reports:
+            line = f"{r.subject:<{width}} {r.status.value:<9} order={r.order_checked}"
+            if r.first_divergence is not None:
+                d = r.first_divergence
+                line += f"  first divergence at n={d.index}: lhs={d.lhs} rhs={d.rhs}"
+            if r.falsified_at is not None:
+                line += f"  falsified_at={list(r.falsified_at)}"
+            print(line)
+            for v in r.violations:
+                print(f"    n={v.index} value={v.value} expected={v.expected.value}")
+        for line in extras:
+            print(line)
 
 
 # -- expand -------------------------------------------------------------------
@@ -125,14 +150,6 @@ def _run_verify(target: str, order: int) -> checks.Report:
     return checks.verify_dissection(target.split("-", 1)[1], order)
 
 
-def _verify_table_line(report: checks.Report) -> str:
-    line = f"{report.subject:<12} {report.status.value:<9} order={report.order_checked}"
-    if report.first_divergence is not None:
-        d = report.first_divergence
-        line += f"  first divergence at n={d.index}: lhs={d.lhs} rhs={d.rhs}"
-    return line
-
-
 def cmd_verify(args) -> int:
     if args.target != "all" and args.target not in VERIFY_TARGETS:
         return _usage_error(
@@ -142,45 +159,13 @@ def cmd_verify(args) -> int:
         return _usage_error(f"--order must be >= 1, got {args.order}")
     targets = VERIFY_TARGETS if args.target == "all" else (args.target,)
     reports = [_run_verify(t, args.order) for t in targets]
-    if args.fmt == "json":
-        docs = [_report_dict(r) for r in reports]
-        _print_json(docs if args.target == "all" else docs[0])
-    elif args.fmt == "csv":
-        print("subject,order_checked,status,divergence_index,lhs,rhs")
-        for r in reports:
-            d = r.first_divergence
-            tail = f"{d.index},{d.lhs},{d.rhs}" if d is not None else ",,"
-            print(f"{r.subject},{r.order_checked},{r.status.value},{tail}")
-    else:
-        for r in reports:
-            print(_verify_table_line(r))
+    docs = [_report_dict(r) for r in reports]
+    doc = docs if args.target == "all" else docs[0]
+    _print_reports(args.fmt, reports, doc, "divergence_index,lhs,rhs", 12)
     return 0 if all(r.ok() for r in reports) else 1
 
 
 # -- scan ---------------------------------------------------------------------
-
-
-def _scan_csv(reports) -> None:
-    print("subject,order_checked,status,index,value,expected")
-    for r in reports:
-        head = f"{r.subject},{r.order_checked},{r.status.value}"
-        if r.violations:
-            for v in r.violations:
-                print(f"{head},{v.index},{v.value},{v.expected.value}")
-        else:
-            print(f"{head},,,")
-
-
-def _scan_table(reports, extras=()) -> None:
-    for r in reports:
-        line = f"{r.subject:<15} {r.status.value:<9} order={r.order_checked}"
-        if r.falsified_at is not None:
-            line += f"  falsified_at={list(r.falsified_at)}"
-        print(line)
-        for v in r.violations:
-            print(f"    n={v.index} value={v.value} expected={v.expected.value}")
-    for line in extras:
-        print(line)
 
 
 def cmd_scan(args) -> int:
@@ -190,86 +175,48 @@ def cmd_scan(args) -> int:
         )
     if args.n_max < 0:
         return _usage_error(f"--n-max must be >= 0, got {args.n_max}")
+    extras = []
     if args.target == "conjecture13":
-        return _scan_conjecture13(args)
-    if args.target == "asymptotic-c":
-        return _scan_asymptotic(args)
-    name, pattern_name = _SIGN_SCANS[args.target]
-    report = checks.scan_signs(
-        name, getattr(checks, pattern_name), args.n_max, subject=args.target
-    )
-    if args.fmt == "json":
-        _print_json(_report_dict(report))
-    elif args.fmt == "csv":
-        _scan_csv([report])
-    else:
-        _scan_table([report])
-    return 0 if report.ok() else 1
-
-
-def _scan_conjecture13(args) -> int:
-    result = checks.check_conjecture13(args.n_max)
-    parts = (("A", result.a), ("B", result.b), ("D", result.d))
-    falsified = result.falsified_at
-    if args.fmt == "json":
-        any_falsified = any(r.status is checks.Status.FALSIFIED for _, r in parts)
-        violations = []
-        for label, r in parts:
-            for v in r.violations:
-                violations.append(
-                    {
-                        "index": v.index,
-                        "value": str(v.value),
-                        "expected": v.expected.value,
-                        "series": label,
-                    }
-                )
-        _print_json(
-            {
-                "subject": "conjecture13",
-                "order_checked": args.n_max,
-                "status": "falsified" if any_falsified else "verified",
-                "first_divergence": None,
-                "violations": violations,
-                "falsified_at": falsified,
-            }
-        )
-    elif args.fmt == "csv":
-        _scan_csv([r for _, r in parts])
-    else:
-        summary = "expectation met" if result.matches_expected() else "UNEXPECTED OUTCOME"
-        _scan_table(
-            [r for _, r in parts],
-            extras=[
-                f"conjecture13    {summary}: "
-                f"A={falsified['A']} B={falsified['B']} D={falsified['D']}"
+        result = checks.check_conjecture13(args.n_max)
+        reports = [result.a, result.b, result.d]
+        falsified = result.falsified_at
+        falsified_any = any(r.status is checks.Status.FALSIFIED for r in reports)
+        doc = {
+            "subject": "conjecture13",
+            "order_checked": args.n_max,
+            "status": "falsified" if falsified_any else "verified",
+            "first_divergence": None,
+            "violations": [
+                {**v, "series": label}
+                for label, r in zip("ABD", reports)
+                for v in _report_dict(r)["violations"]
             ],
+            "falsified_at": falsified,
+        }
+        ok = result.matches_expected()
+        summary = "expectation met" if ok else "UNEXPECTED OUTCOME"
+        extras.append(
+            f"conjecture13    {summary}: "
+            f"A={falsified['A']} B={falsified['B']} D={falsified['D']}"
         )
-    return 0 if result.matches_expected() else 1
-
-
-def _scan_asymptotic(args) -> int:
-    scan = checks.scan_asymptotic(args.n_max)
-    print(
-        f"qser: asymptotic-c checked {scan.checked} indices, "
-        f"{scan.agreements} sign agreements",
-        file=sys.stderr,
-    )
-    if args.fmt == "json":
-        doc = _report_dict(scan.report)
-        doc["checked"] = scan.checked
-        doc["agreements"] = scan.agreements
-        _print_json(doc)
-    elif args.fmt == "csv":
-        _scan_csv([scan.report])
+    elif args.target == "asymptotic-c":
+        scan = checks.scan_asymptotic(args.n_max)
+        print(
+            f"qser: asymptotic-c checked {scan.checked} indices, "
+            f"{scan.agreements} sign agreements",
+            file=sys.stderr,
+        )
+        reports = [scan.report]
+        doc = {**_report_dict(scan.report), "checked": scan.checked, "agreements": scan.agreements}
+        ok = scan.report.ok()
+        extras.append(f"asymptotic-c    checked={scan.checked} agreements={scan.agreements}")
     else:
-        _scan_table(
-            [scan.report],
-            extras=[
-                f"asymptotic-c    checked={scan.checked} agreements={scan.agreements}"
-            ],
-        )
-    return 0 if scan.report.ok() else 1
+        name, pattern = _SIGN_SCANS[args.target]
+        reports = [checks.scan_signs(name, pattern, args.n_max, subject=args.target)]
+        doc = _report_dict(reports[0])
+        ok = reports[0].ok()
+    _print_reports(args.fmt, reports, doc, "index,value,expected", 15, extras)
+    return 0 if ok else 1
 
 
 # -- entry point ----------------------------------------------------------------
@@ -312,6 +259,8 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except catalog.PrecisionTooLarge as exc:
+        return _usage_error(str(exc))
     except BrokenPipeError:
         # Reader hung up early (e.g. piped into head). Point stdout at
         # devnull so the interpreter's exit flush cannot raise again, and

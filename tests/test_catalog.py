@@ -164,6 +164,37 @@ def test_build_validation():
     assert catalog.build("R", 0).prec == 0
 
 
+def _refuse_to_compute(key, prec):
+    raise AssertionError(f"computed {key} at {prec}")
+
+
+def test_precision_ceiling_fails_before_computing(monkeypatch):
+    monkeypatch.setattr(catalog, "_compute", _refuse_to_compute)
+    with pytest.raises(catalog.PrecisionTooLarge, match=str(catalog.MAX_PREC + 1)):
+        catalog.build("R", catalog.MAX_PREC + 1)
+    with pytest.raises(catalog.PrecisionTooLarge):
+        catalog.build("A", 10**8)
+    with pytest.raises(catalog.PrecisionTooLarge):
+        catalog.coefficient("A", catalog.MAX_PREC)
+
+
+def test_coefficient_growth_stops_at_the_ceiling(monkeypatch):
+    # zero series stand in for the real ones, in a cache of this test's own
+    built = []
+
+    def record(key, prec):
+        built.append(prec)
+        return Series.zero(prec)
+
+    monkeypatch.setattr(catalog, "_compute", record)
+    monkeypatch.setattr(catalog, "_cache", {})
+    half = catalog.MAX_PREC // 2
+    catalog.coefficient("d", half)
+    catalog.coefficient("d", half + 1)  # doubling would pass the ceiling
+    assert catalog.coefficient("d", catalog.MAX_PREC - 1) == 0
+    assert built == [half + 1, catalog.MAX_PREC]
+
+
 def test_rebuild_preserves_prefix():
     for name in catalog.NAMES:
         small = catalog.build(name, 30)

@@ -213,6 +213,28 @@ def test_scan_negative_n_max(capsys):
     assert "--n-max" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "A", "--order", "100000000"),
+        ("expand", "d", "--order", str(catalog.MAX_PREC + 1)),
+        ("scan", "thm2", "--n-max", str(catalog.MAX_PREC)),
+        ("scan", "asymptotic-c", "--n-max", str(catalog.MAX_PREC)),
+        ("scan", "conjecture13", "--n-max", str(catalog.MAX_PREC // 5)),
+        ("verify", "dissect-A0", "--order", str(catalog.MAX_PREC // 5)),
+    ],
+)
+def test_precision_ceiling_is_a_usage_error(capsys, monkeypatch, argv):
+    def refuse(key, prec):
+        raise AssertionError(f"computed {key} at {prec}")
+
+    monkeypatch.setattr(catalog, "_compute", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qser: ") and f"ceiling of {catalog.MAX_PREC}" in err
+
+
 # -- shared behavior ---------------------------------------------------------------
 
 
