@@ -131,11 +131,8 @@ def _case_id(case: dict) -> str:
     return "_".join(case["argv"]) + (f"_[{case['patch']}]" if case["patch"] else "")
 
 
-def _load() -> dict:
-    return json.loads(GOLDEN.read_text())
-
-
-_DOC = _load() if GOLDEN.exists() else {"python": None, "cases": []}
+# absent only while re-recording from scratch
+_DOC = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"python": None, "cases": []}
 
 
 def test_golden_covers_every_case():
