@@ -1,8 +1,9 @@
-"""Registry of named series built from q-Pochhammer products.
+"""Registry of named series, one canonical recipe each.
 
-Every series the package knows by name lives here, each with a single
-canonical recipe.  With T(a, m) = theta(a, m), the sparse Jacobi triple
-product (q**a;q**m)(q**(m-a);q**m)(q**m;q**m):
+Every series the package knows by name lives here, with its recipe in
+``_RECIPES``.  With T(a, m) = theta(a, m), the sparse Jacobi triple
+product (q**a;q**m)(q**(m-a);q**m)(q**m;q**m), and f_k = euler_f(k) =
+T(k, 3k):
 
 * ``G = T(5,15)/T(1,5)`` and ``H = T(5,15)/T(2,5)``, the two
   sum-equals-product series 1/((q;q5)(q4;q5)) and 1/((q2;q5)(q3;q5)).
@@ -18,7 +19,10 @@ product (q**a;q**m)(q**(m-a);q**m)(q**m;q**m):
 * Single-letter aliases for the coefficient families: ``A`` (R5inv),
   ``B`` (R5), ``C`` (Cratio), ``D`` (Dratio), ``c`` (Rinv), ``d`` (R).
 
-Recipes divide only in the four theta quotients and in the sum forms.
+Recipes divide only in the four theta quotients, the two Euler-product
+ratios and the sum forms.  The dense product expansions of ``products``
+(``expand_product``, ``pochhammer_inf``) build none of these; the tests
+compare the recipes against them.
 
 Builds are cached per canonical name at the largest precision seen, with
 shorter requests answered by truncation, so every earlier coefficient is
@@ -30,7 +34,8 @@ from __future__ import annotations
 
 import threading
 
-from .products import ProductSpec, expand_product, theta
+from .products import euler_f, theta
+from .products import expand_product  # noqa: F401 -- bench/spans.py wraps this binding by name
 from .series import Series
 
 __all__ = [
@@ -43,28 +48,6 @@ __all__ = [
     "clear_cache",
 ]
 
-NAMES = (
-    "G",
-    "H",
-    "G_sum",
-    "H_sum",
-    "R",
-    "Rinv",
-    "R5",
-    "R5inv",
-    "Rq5",
-    "Cratio",
-    "Dratio",
-    "Fratio15",
-    "Fratio51",
-    "A",
-    "B",
-    "C",
-    "D",
-    "c",
-    "d",
-)
-
 ALIASES = {
     "A": "R5inv",
     "B": "R5",
@@ -72,19 +55,6 @@ ALIASES = {
     "D": "Dratio",
     "c": "Rinv",
     "d": "R",
-}
-
-# numerator and denominator (a, m) of theta(a, m, prec)
-_THETA_QUOTIENTS = {
-    "G": ((5, 15), (1, 5)),
-    "H": ((5, 15), (2, 5)),
-    "R": ((1, 5), (2, 5)),
-    "Rinv": ((2, 5), (1, 5)),
-}
-
-_PRODUCT_SPECS = {
-    "Fratio15": ProductSpec(((1, 1, 6), (5, 5, -6))),
-    "Fratio51": ProductSpec(((5, 5, 6), (1, 1, -6))),
 }
 
 # The precision ceiling: four times the deepest scans (n = 25,000, or
@@ -114,14 +84,14 @@ def _canonical(name: str) -> str:
     return ALIASES.get(name, name)
 
 
-def _sum_form(name: str, prec: int) -> Series:
-    # partial sum of q**e(n) / (q;q)_n with e = n*n (G) or n*n + n (H);
+def _sum_form(linear: int, prec: int) -> Series:
+    # partial sum of q**e(n) / (q;q)_n, e = n*n + linear*n (G: 0, H: 1);
     # terms with e >= prec vanish below the truncation order.  `recip` holds
     # 1/(q;q)_n, extended to n + 1 by dividing once more by (1 - q**(n+1)).
     total = Series.zero(prec)
     recip = [1] + [0] * (prec - 1)
     n = 0
-    while (e := n * n + (n if name == "H_sum" else 0)) < prec:
+    while (e := n * n + linear * n) < prec:
         total = total + Series(recip[:prec - e]).shift(e)
         n += 1
         for k in range(n, prec):
@@ -129,30 +99,36 @@ def _sum_form(name: str, prec: int) -> Series:
     return total
 
 
-def _at_q5(name: str, prec: int) -> Series:
-    # the named series with q replaced by q**5
+def at_q5(name: str, prec: int) -> Series:
+    """The named series with q replaced by q**5, truncated to prec."""
     return build(name, -(-prec // 5)).substitute_qm(5).truncate(prec)
 
 
+# canonical name -> recipe of prec; recipes reach `build` through this
+# module's global at call time
+_RECIPES = {
+    "G": lambda p: theta(5, 15, p) / theta(1, 5, p),
+    "H": lambda p: theta(5, 15, p) / theta(2, 5, p),
+    "G_sum": lambda p: _sum_form(0, p),
+    "H_sum": lambda p: _sum_form(1, p),
+    "R": lambda p: theta(1, 5, p) / theta(2, 5, p),
+    "Rinv": lambda p: theta(2, 5, p) / theta(1, 5, p),
+    "R5": lambda p: build("R", p) ** 5,
+    "R5inv": lambda p: build("Rinv", p) ** 5,
+    "Rq5": lambda p: at_q5("R", p),
+    "Cratio": lambda p: build("R5", p) * at_q5("Rinv", p),
+    "Dratio": lambda p: build("Rq5", p) * build("R5inv", p),
+    # two powers, then one inverse of the denominator's; powering the
+    # quotient instead squares series with large coefficients
+    "Fratio15": lambda p: euler_f(1, p) ** 6 / euler_f(5, p) ** 6,
+    "Fratio51": lambda p: euler_f(5, p) ** 6 / euler_f(1, p) ** 6,
+}
+
+NAMES = (*_RECIPES, *ALIASES)
+
+
 def _compute(key: str, prec: int) -> Series:
-    if key in _THETA_QUOTIENTS:
-        num, den = _THETA_QUOTIENTS[key]
-        return theta(*num, prec) / theta(*den, prec)
-    if key in _PRODUCT_SPECS:
-        return expand_product(_PRODUCT_SPECS[key], prec)
-    if key in ("G_sum", "H_sum"):
-        return _sum_form(key, prec)
-    if key == "R5":
-        return build("R", prec) ** 5
-    if key == "R5inv":
-        return build("Rinv", prec) ** 5
-    if key == "Rq5":
-        return _at_q5("R", prec)
-    if key == "Cratio":
-        return build("R5", prec) * _at_q5("Rinv", prec)
-    if key == "Dratio":
-        return build("Rq5", prec) * build("R5inv", prec)
-    raise AssertionError(f"no recipe for {key!r}")
+    return _RECIPES[key](prec)
 
 
 def build(name: str, prec: int) -> Series:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import catalog
-from .products import ProductSpec, expand_product
+from .products import expand_product  # noqa: F401 -- bench/spans.py wraps this binding by name
 from .series import Series
 
 __all__ = [
@@ -203,20 +203,27 @@ def _powers_times_q(x: Series, weights) -> Series:
     return total
 
 
+# weights of the quartics sum_k w_k * q**k * x**k in the R5 identity
+_MINUS_QUARTIC = (1, -2, 4, -3, 1)
+_PLUS_QUARTIC = (1, 3, 4, 2, 1)
+
+
 def verify_identity_R5(prec: int) -> Report:
     """R**5 == x * (1-2qx+4q2x2-3q3x3+q4x4) / (1+3qx+4q2x2+2q3x3+q4x4)
     with x = R(q**5)."""
     _require_order(prec)
     x = catalog.build("Rq5", prec)
-    minus_quartic = _powers_times_q(x, (1, -2, 4, -3, 1))
-    plus_quartic = _powers_times_q(x, (1, 3, 4, 2, 1))
-    rhs = x * minus_quartic / plus_quartic
+    rhs = x * _powers_times_q(x, _MINUS_QUARTIC) / _powers_times_q(x, _PLUS_QUARTIC)
     lhs = catalog.build("R5", prec)
     return _compare("R5", lhs, rhs, prec)
 
 
-_GENFUN_DENOM_POWER = {"A_full": 5, "B_full": 3, "D_full": 4}
-_GENFUN_SERIES = {"A_full": "R5inv", "B_full": "R5", "D_full": "Dratio"}
+# target -> (series checked, power p of x in the denominator, quartic weights)
+_GENFUNS = {
+    "A_full": ("R5inv", 5, _PLUS_QUARTIC),
+    "B_full": ("R5", 3, _MINUS_QUARTIC),
+    "D_full": ("Dratio", 4, _PLUS_QUARTIC),
+}
 
 
 def verify_genfun(which: str, prec: int) -> Report:
@@ -224,19 +231,18 @@ def verify_genfun(which: str, prec: int) -> Report:
 
     Each right-hand side is f25**6/(f5**6 * x**p) * quartic(x)**2 *
     (1/x - q - q**2 * x) with x = R(q**5); p is 5, 3, 4 and the quartic has
-    plus signs for A and D, minus signs for B.
+    plus signs for A and D, minus signs for B.  f25**6/f5**6 is Fratio51(q**5).
     """
-    if which not in _GENFUN_DENOM_POWER:
+    if which not in _GENFUNS:
         raise ValueError(f"unknown generating-function target {which!r}")
     _require_order(prec)
+    name, power, weights = _GENFUNS[which]
     x = catalog.build("Rq5", prec)
-    base = expand_product(ProductSpec(((25, 25, 6), (5, 5, -6))), prec)
-    weights = (1, -2, 4, -3, 1) if which == "B_full" else (1, 3, 4, 2, 1)
+    base = catalog.at_q5("Fratio51", prec)
     quartic = _powers_times_q(x, weights)
     tail = x.inverse() - Series.monomial(1, 1, prec) - x.shift(2).truncate(prec)
-    denom = x ** _GENFUN_DENOM_POWER[which]
-    rhs = base * denom.inverse() * quartic * quartic * tail
-    lhs = catalog.build(_GENFUN_SERIES[which], prec)
+    rhs = base * (x ** power).inverse() * quartic * quartic * tail
+    lhs = catalog.build(name, prec)
     return _compare(which, lhs, rhs, prec)
 
 

@@ -52,8 +52,7 @@ class NegativeShiftNonzeroLowTerms(SeriesError):
 
 # Multiplication strategy: schoolbook convolution when the operands are short
 # or sparse, Kronecker substitution (one big-int multiply) otherwise.  Both
-# are exact, so the outputs are identical; the thresholds only affect speed.
-_KRONECKER_MIN_LEN = 64
+# are exact, so the outputs are identical; the threshold only affects speed.
 _KRONECKER_MIN_WORK = 50_000
 
 
@@ -120,7 +119,7 @@ def _mul_lists(a: tuple, b: tuple, n: int) -> list:
     nzb = sum(1 for v in b if v)
     if nza == 0 or nzb == 0:
         return [0] * n
-    if n >= _KRONECKER_MIN_LEN and min(nza, nzb) * n >= _KRONECKER_MIN_WORK:
+    if min(nza, nzb) * n >= _KRONECKER_MIN_WORK:
         return _mul_kronecker(a, b, n)
     return _mul_schoolbook(a, b, n)
 
@@ -186,6 +185,8 @@ class Series:
     @classmethod
     def monomial(cls, coeff: int, exponent: int, prec: int) -> "Series":
         """coeff * q**exponent, truncated to prec (zero if exponent >= prec)."""
+        if not isinstance(coeff, int) or isinstance(coeff, bool):
+            raise TypeError(f"coefficients must be exact ints, got {coeff!r}")
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
         if exponent >= prec:

@@ -23,15 +23,23 @@ DD_PREFIX = [1, 5, 10, 5, -15, -25, 10]
 G_PREFIX = [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9]
 H_PREFIX = [1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6]
 
-# both sides of the Newton cutoff (32) and the Kronecker switch-overs (64, 224)
+# tiny sizes, both sides of 32 and 64, 224 (the first dense size with
+# 224 * 224 >= 50,000, so a Kronecker multiply), and sizes not divisible by
+# 5 for the q**5 series
 SIZES = (1, 2, 31, 32, 33, 64, 65, 224, 1000)
 
-# dense Pochhammer product forms of R, G and H, independent of the theta recipes
+# dense Pochhammer product forms of R, G, H and the Euler-product ratios,
+# independent of the theta recipes
 PRODUCT_FORMS = {
     "R": ProductSpec(((1, 5, 1), (4, 5, 1), (2, 5, -1), (3, 5, -1))),
     "G": ProductSpec(((1, 5, -1), (4, 5, -1))),
     "H": ProductSpec(((2, 5, -1), (3, 5, -1))),
+    "Fratio15": ProductSpec(((1, 1, 6), (5, 5, -6))),
+    "Fratio51": ProductSpec(((5, 5, 6), (1, 1, -6))),
 }
+
+# f25**6/f5**6, the base of the genfun checks, which read it as Fratio51(q**5)
+GENFUN_BASE = ProductSpec(((25, 25, 6), (5, 5, -6)))
 
 
 @pytest.fixture(autouse=True)
@@ -107,10 +115,11 @@ def test_rq5_is_r_with_spread_support():
 
 
 def test_r_equals_its_four_factor_product_form():
-    # and G, H against their two-factor product forms
+    # and G, H, Fratio15, Fratio51 and Fratio51(q**5) against theirs
     for n in SIZES:
         for name, spec in PRODUCT_FORMS.items():
             assert catalog.build(name, n) == expand_product(spec, n), (name, n)
+        assert catalog.at_q5("Fratio51", n) == expand_product(GENFUN_BASE, n), n
 
 
 def test_r_is_h_over_g():

@@ -222,6 +222,8 @@ def test_scan_negative_n_max(capsys):
         ("scan", "asymptotic-c", "--n-max", str(catalog.MAX_PREC)),
         ("scan", "conjecture13", "--n-max", str(catalog.MAX_PREC // 5)),
         ("verify", "dissect-A0", "--order", str(catalog.MAX_PREC // 5)),
+        # the dissections' 5*order+4 builds are refused before B20 computes
+        ("verify", "all", "--order", str(catalog.MAX_PREC // 5)),
     ],
 )
 def test_precision_ceiling_is_a_usage_error(capsys, monkeypatch, argv):

@@ -50,6 +50,10 @@ def test_coefficients_must_be_ints():
         Series([1.0])
     with pytest.raises(TypeError):
         Series([True])
+    # monomial too, also where its exponent lies past the precision
+    for coeff, exponent, prec in ((1.5, 0, 3), (True, 1, 3), (2.0, 5, 3), (False, 3, 3)):
+        with pytest.raises(TypeError):
+            Series.monomial(coeff, exponent, prec)
 
 
 def test_zero_one_monomial():
