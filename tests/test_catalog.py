@@ -28,8 +28,9 @@ H_PREFIX = [1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6]
 # 5 for the q**5 series
 SIZES = (1, 2, 31, 32, 33, 64, 65, 224, 1000)
 
-# dense Pochhammer product forms of R, G, H and the Euler-product ratios,
-# independent of the theta recipes
+# product forms of R, G, H and the Euler-product ratios, independent of the
+# catalog recipes; expand_product takes (q**k;q**k) from euler_f, which
+# tests/test_products.py checks against the dense pochhammer_inf
 PRODUCT_FORMS = {
     "R": ProductSpec(((1, 5, 1), (4, 5, 1), (2, 5, -1), (3, 5, -1))),
     "G": ProductSpec(((1, 5, -1), (4, 5, -1))),
