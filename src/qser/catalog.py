@@ -21,8 +21,9 @@ T(k, 3k):
 
 Recipes divide only in the four theta quotients, the two Euler-product
 ratios and the sum forms.  The dense product expansions of ``products``
-(``expand_product``, ``pochhammer_inf``) build none of these; the tests
-compare the recipes against them.
+(``expand_product``, ``pochhammer_inf``) build none of these and use no
+theta series and no Series arithmetic; the tests compare the recipes
+against them.
 
 Builds are cached per canonical name at the largest precision seen, with
 shorter requests answered by truncation, so every earlier coefficient is

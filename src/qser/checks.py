@@ -199,7 +199,7 @@ def _powers_times_q(x: Series, weights) -> Series:
     for k, w in enumerate(weights):
         if k:
             power = power * x
-        total = total + power.shift(k).truncate(prec).scale(w)
+        total = total + power.shift(k).scale(w)
     return total
 
 
@@ -231,17 +231,19 @@ def verify_genfun(which: str, prec: int) -> Report:
 
     Each right-hand side is f25**6/(f5**6 * x**p) * quartic(x)**2 *
     (1/x - q - q**2 * x) with x = R(q**5); p is 5, 3, 4 and the quartic has
-    plus signs for A and D, minus signs for B.  f25**6/f5**6 is Fratio51(q**5).
+    plus signs for A and D, minus signs for B.  f25**6/f5**6 is Fratio51(q**5)
+    and 1/x is Rinv(q**5).
     """
     if which not in _GENFUNS:
         raise ValueError(f"unknown generating-function target {which!r}")
     _require_order(prec)
     name, power, weights = _GENFUNS[which]
     x = catalog.build("Rq5", prec)
+    x_inv = catalog.at_q5("Rinv", prec)
     base = catalog.at_q5("Fratio51", prec)
     quartic = _powers_times_q(x, weights)
-    tail = x.inverse() - Series.monomial(1, 1, prec) - x.shift(2).truncate(prec)
-    rhs = base * (x ** power).inverse() * quartic * quartic * tail
+    tail = x_inv - Series.monomial(1, 1, prec) - x.shift(2)
+    rhs = base * x_inv ** power * quartic * quartic * tail
     lhs = catalog.build(name, prec)
     return _compare(which, lhs, rhs, prec)
 
@@ -260,7 +262,7 @@ def verify_dissection(which: str, prec: int) -> Report:
     _require_order(prec)
     name, j = _DISSECTIONS[which]
     lhs = catalog.build(name, 5 * prec + 4).dissect(5, j)
-    bracket = Series.one(prec) - catalog.build("Fratio51", prec).scale(25).shift(1).truncate(prec)
+    bracket = Series.one(prec) - catalog.build("Fratio51", prec).scale(25).shift(1)
     if which == "A0":
         rhs = catalog.build("Rinv", prec) * bracket
     elif which == "B0":
@@ -274,16 +276,6 @@ def verify_dissection(which: str, prec: int) -> Report:
 
 
 # -- sign scans --------------------------------------------------------------
-
-
-def _sign_matches(value: int, want: Sign) -> bool:
-    if want is Sign.POS:
-        return value > 0
-    if want is Sign.NEG:
-        return value < 0
-    if want is Sign.ZERO:
-        return value == 0
-    return True
 
 
 def scan_signs(
@@ -314,7 +306,7 @@ def scan_signs(
                 violations.append(Violation(n, value, _sign_of(want_value)))
             continue
         want = pattern.expected.get(n % pattern.modulus, Sign.UNCONSTRAINED)
-        if not _sign_matches(value, want):
+        if want is not Sign.UNCONSTRAINED and _sign_of(value) is not want:
             violations.append(Violation(n, value, want))
     if not violations:
         return Report(subject, n_max, Status.VERIFIED)

@@ -2,14 +2,15 @@
 
 Building blocks:
 
-* ``pochhammer_inf(a, m, prec)``: the product of (1 - q**(a+k*m)) over all
-  k >= 0, multiplied out factor by factor with immediate truncation.
 * ``theta(a, m, prec)``: (q**a; q**m)_inf (q**(m-a); q**m)_inf (q**m; q**m)_inf
   for 0 < a < m, as the sparse sum given by the Jacobi triple product.
 * ``euler_f(k, prec)``: (q**k; q**k)_inf = theta(k, 3k, prec), Euler's
   pentagonal number theorem.
-* ``expand_product(spec, prec)``: an arbitrary product of such factors with
-  integer exponents, e.g. eta-quotient style ratios like f5**6 / f1**6.
+* ``expand_product(spec, prec)``: a product of factors (q**a; q**m)_inf with
+  integer exponents, e.g. f5**6 / f1**6, multiplied into a dense list of ints
+  one (1 - q**t) at a time; ``pochhammer_inf(a, m, prec)`` is one factor.
+  It uses no theta series and no Series arithmetic, so the tests hold the
+  theta recipes of ``catalog`` against it as an independent product form.
 
 Offsets a >= 1 guarantee constant term 1, so negative exponents stay in the
 integers.
@@ -46,34 +47,6 @@ class ProductSpec:
         object.__setattr__(self, "factors", factors)
 
 
-def _apply_binomial_factors(coeffs: list, exponents: range) -> list:
-    # multiply the dense coefficient list by (1 - q**e) for each e; the
-    # update reads only lower indices, done via one slice op per factor
-    n = len(coeffs)
-    for e in exponents:
-        coeffs[e:] = [x - y for x, y in zip(coeffs[e:], coeffs)]
-    assert len(coeffs) == n
-    return coeffs
-
-
-def pochhammer_inf(a: int, m: int, prec: int) -> Series:
-    """Expansion of prod_{k>=0} (1 - q**(a + k*m)) to the given precision.
-
-    Only the finitely many factors with a + k*m < prec contribute.
-    """
-    if a < 1:
-        raise ValueError(f"offset must be >= 1, got {a}")
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if prec < 0:
-        raise ValueError(f"precision must be >= 0, got {prec}")
-    if prec == 0:
-        return Series.zero(0)
-    coeffs = [1] + [0] * (prec - 1)
-    _apply_binomial_factors(coeffs, range(a, prec, m))
-    return Series(coeffs)
-
-
 def theta(a: int, m: int, prec: int) -> Series:
     """Sum of (-1)**j q**(m*j*(j-1)/2 + a*j) over all integers j, for 0 < a < m.
 
@@ -108,23 +81,30 @@ def euler_f(k: int, prec: int) -> Series:
 def expand_product(spec: ProductSpec, prec: int) -> Series:
     """Expand a ProductSpec to the given precision.
 
-    Positive-exponent factors are multiplied into a numerator, negative ones
-    into a denominator which is inverted once at the end; every intermediate
-    is truncated to prec.
+    A dense list of ints, starting at 1, is multiplied in place |e| times by
+    (1 - q**t), or divided when e < 0, for each factor (a, m, e) and each
+    t = a + k*m < prec.  No theta series and no Series arithmetic is used.
     """
     if prec < 0:
         raise ValueError(f"precision must be >= 0, got {prec}")
-    if prec == 0:
-        return Series.zero(0)
-    num = Series.one(prec)
-    den = None
+    c = [1 if k == 0 else 0 for k in range(prec)]
     for a, m, e in spec.factors:
-        base = euler_f(a, prec) if a == m else pochhammer_inf(a, m, prec)
-        part = base ** abs(e)
-        if e > 0:
-            num = num * part
-        else:
-            den = part if den is None else den * part
-    if den is not None:
-        num = num * den.inverse()
-    return num
+        for t in range(a, prec, m):
+            for _ in range(abs(e)):
+                if e > 0:
+                    # c_k -= c_(k-t); the right side is built from old values
+                    c[t:] = [x - y for x, y in zip(c[t:], c)]
+                else:
+                    # c_k += c_(k-t) for ascending k reads new values, so
+                    # one slice of t terms at a time, the last one partial
+                    for k in range(t, prec, t):
+                        c[k:k + t] = [x + y for x, y in zip(c[k:k + t], c[k - t:k])]
+    return Series(c)
+
+
+def pochhammer_inf(a: int, m: int, prec: int) -> Series:
+    """Expansion of prod_{k>=0} (1 - q**(a + k*m)) to the given precision.
+
+    Only the finitely many factors with a + k*m < prec contribute.
+    """
+    return expand_product(ProductSpec(((a, m, 1),)), prec)

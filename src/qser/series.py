@@ -111,14 +111,10 @@ def _mul_kronecker(a: tuple, b: tuple, n: int) -> list:
 
 def _mul_lists(a: tuple, b: tuple, n: int) -> list:
     """Truncated product of coefficient sequences, first n terms."""
-    if n <= 0:
-        return []
     a = a[:n]
     b = b[:n]
     nza = sum(1 for v in a if v)
     nzb = sum(1 for v in b if v)
-    if nza == 0 or nzb == 0:
-        return [0] * n
     if min(nza, nzb) * n >= _KRONECKER_MIN_WORK:
         return _mul_kronecker(a, b, n)
     return _mul_schoolbook(a, b, n)

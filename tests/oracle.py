@@ -47,6 +47,16 @@ def poch(a, m, n):
     return out
 
 
+def product(factors, n):
+    """Product of (q^a; q^m)_inf^e over (a, m, e) triples, as a length-n list."""
+    # one spare term keeps inv defined at n = 0
+    out = [1] + [0] * n
+    for a, m, e in factors:
+        part = power(poch(a, m, n + 1), abs(e), n + 1)
+        out = mul(out, part if e > 0 else inv(part, n + 1), n + 1)
+    return out[:n]
+
+
 def subst(a, m, n):
     """Replace q by q^m, truncated to n terms."""
     out = [0] * n

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 import oracle
-from qser import catalog
+from qser import catalog, products
 from qser.products import ProductSpec, expand_product
 from qser.series import Series
 
@@ -29,8 +29,9 @@ H_PREFIX = [1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6]
 SIZES = (1, 2, 31, 32, 33, 64, 65, 224, 1000)
 
 # product forms of R, G, H and the Euler-product ratios, independent of the
-# catalog recipes; expand_product takes (q**k;q**k) from euler_f, which
-# tests/test_products.py checks against the dense pochhammer_inf
+# catalog recipes: expand_product multiplies and divides a plain list by
+# (1 - q**t) and calls neither theta nor Series arithmetic
+# (test_product_forms_share_no_engine_code)
 PRODUCT_FORMS = {
     "R": ProductSpec(((1, 5, 1), (4, 5, 1), (2, 5, -1), (3, 5, -1))),
     "G": ProductSpec(((1, 5, -1), (4, 5, -1))),
@@ -121,6 +122,20 @@ def test_r_equals_its_four_factor_product_form():
         for name, spec in PRODUCT_FORMS.items():
             assert catalog.build(name, n) == expand_product(spec, n), (name, n)
         assert catalog.at_q5("Fratio51", n) == expand_product(GENFUN_BASE, n), n
+
+
+def test_product_forms_share_no_engine_code(monkeypatch):
+    def engine(*args):
+        raise AssertionError("a product form reached the engine")
+
+    for attr in ("__mul__", "__pow__", "__truediv__", "inverse"):
+        monkeypatch.setattr(Series, attr, engine)
+    monkeypatch.setattr(products, "theta", engine)
+    monkeypatch.setattr(products, "euler_f", engine)
+    for spec in (*PRODUCT_FORMS.values(), GENFUN_BASE):
+        want = oracle.product(spec.factors, 64)
+        for n in range(65):
+            assert list(expand_product(spec, n)) == want[:n], (spec, n)
 
 
 def test_r_is_h_over_g():

@@ -54,6 +54,19 @@ def test_unknown_verify_names_rejected():
         checks.verify_dissection("A1", 10)
 
 
+def test_genfun_needs_no_inverse_once_cached(monkeypatch):
+    # 1/x is read from the cache as Rinv(q**5), so a warm check inverts nothing
+    for which in ("A_full", "B_full", "D_full"):
+        checks.verify_genfun(which, 300)
+
+    def no_inverse(self):
+        raise AssertionError("verify_genfun inverted a series")
+
+    monkeypatch.setattr(Series, "inverse", no_inverse)
+    for which in ("A_full", "B_full", "D_full"):
+        assert checks.verify_genfun(which, 300).ok(), which
+
+
 def test_b20_first_order_arithmetic():
     # q^1 on both sides: A(1) - 0 = 5 and 11 + (f1^6/f5^6)[1] = 11 - 6 = 5
     assert catalog.coefficient("A", 1) == 5

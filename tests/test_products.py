@@ -105,6 +105,18 @@ def test_ratio_against_oracle():
     assert list(expand_product(ProductSpec(((5, 5, 6), (1, 1, -6))), 20)) == oracle.f_ratio(
         5, 1, 6, 20
     )
+    # random specs at every size up to 40: factors (1 - q**t) with t = 1, with
+    # t past n/2 (a partial last slice when dividing) and n = 0; a truncated
+    # oracle product is a prefix of the longer one
+    rng = random.Random(40)
+    for _ in range(40):
+        factors = tuple(
+            (rng.randint(1, 6), rng.randint(1, 6), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(1, 3))
+        )
+        want = oracle.product(factors, 40)
+        for n in range(41):
+            assert list(expand_product(ProductSpec(factors), n)) == want[:n], (factors, n)
 
 
 def test_spec_validation():

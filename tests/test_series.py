@@ -201,7 +201,9 @@ def test_kronecker_handles_sparse_and_negative():
 
 
 def test_mul_zero_operand():
-    assert (Series.zero(80) * Series([1] * 80)).is_zero()
+    for a, b in ((Series.zero(80), Series([1] * 80)), (Series([1, 2, 3]), Series.zero(0))):
+        product = a * b
+        assert product.is_zero() and product.prec == min(a.prec, b.prec)
 
 
 # -- powers ----------------------------------------------------------------------
