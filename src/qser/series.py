@@ -50,74 +50,39 @@ class NegativeShiftNonzeroLowTerms(SeriesError):
     """shift() by a negative amount requires the dropped low terms to be known zeros."""
 
 
-# Multiplication strategy: schoolbook convolution when the operands are short
-# or sparse, Kronecker substitution (one big-int multiply) otherwise.  Both
-# are exact, so the outputs are identical; the threshold only affects speed.
-_KRONECKER_MIN_WORK = 50_000
-
-
-def _mul_schoolbook(a: tuple, b: tuple, n: int) -> list:
-    nza = [(i, v) for i, v in enumerate(a) if v]
-    nzb = [(j, v) for j, v in enumerate(b) if v]
-    if len(nzb) < len(nza):
-        nza, nzb = nzb, nza
-    out = [0] * n
-    for i, ai in nza:
-        limit = n - i
-        for j, bj in nzb:
-            if j >= limit:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _pack(values: Iterable[int], width: int, count: int) -> int:
-    # little-endian fixed-width digits; `values` must be nonnegative
-    buf = bytearray(width * count)
-    off = 0
-    for v in values:
-        if v:
-            buf[off:off + width] = v.to_bytes(width, "little")
-        off += width
-    return int.from_bytes(buf, "little")
-
-
-def _mul_kronecker(a: tuple, b: tuple, n: int) -> list:
-    # Pack each operand as sum(coeff[i] * 2**(8*w*i)) with w wide enough that
-    # the product's digits never overlap, multiply once, then read the signed
-    # digits back out of the byte string.  Exact for any integer coefficients.
-    amax = max(map(abs, a))
-    bmax = max(map(abs, b))
-    bits = amax.bit_length() + bmax.bit_length() + n.bit_length() + 1
-    w = (bits + 7) // 8
-    packed_a = _pack((v if v > 0 else 0 for v in a), w, n) - _pack(
-        (-v if v < 0 else 0 for v in a), w, n
-    )
-    packed_b = _pack((v if v > 0 else 0 for v in b), w, n) - _pack(
-        (-v if v < 0 else 0 for v in b), w, n
-    )
-    ndigits = 2 * n
-    half = 1 << (8 * w - 1)
-    # adding `half` to every digit makes the whole number nonnegative with
-    # digits in [0, 2**(8w)), so no borrows cross digit boundaries
-    offset = int.from_bytes((bytes(w - 1) + b"\x80") * ndigits, "little")
-    raw = (packed_a * packed_b + offset).to_bytes(ndigits * w, "little")
-    from_bytes = int.from_bytes
-    return [
-        from_bytes(raw[o:o + w], "little") - half
-        for o in range(0, n * w, w)
-    ]
-
-
 def _mul_lists(a: tuple, b: tuple, n: int) -> list:
     """Truncated product of coefficient sequences, first n terms."""
+    # Kronecker substitution: pack each operand as sum(coeff[i] * 2**(8*w*i))
+    # with w wide enough that the product's digits never overlap, multiply
+    # once, then read the signed digits back out of the byte string.  Each
+    # digit is stored as coeff + half, so the bytes hold no negative digit,
+    # and the packed bias sum(half * 2**(8*w*i)) is then subtracted as one
+    # integer.  Exact for any integer coefficients.
     a = a[:n]
     b = b[:n]
-    nza = sum(1 for v in a if v)
-    nzb = sum(1 for v in b if v)
-    if min(nza, nzb) * n >= _KRONECKER_MIN_WORK:
-        return _mul_kronecker(a, b, n)
-    return _mul_schoolbook(a, b, n)
+    amax = max(map(abs, a), default=0)
+    bmax = max(map(abs, b), default=0)
+    bits = amax.bit_length() + bmax.bit_length() + n.bit_length() + 1
+    w = (bits + 7) // 8
+    half = 1 << (8 * w - 1)
+    bias = bytes(w - 1) + b"\x80"  # the digit `half`, little-endian
+    from_bytes = int.from_bytes
+
+    def pack(values: tuple) -> int:
+        buf = bytearray(bias * len(values))
+        for off, v in zip(range(0, len(buf), w), values):
+            if v:
+                buf[off:off + w] = (v + half).to_bytes(w, "little")
+        return from_bytes(buf, "little") - from_bytes(bias * len(values), "little")
+
+    # adding the bias back at every digit of the 2n-digit product makes it
+    # nonnegative with digits in [0, 2**(8w)), so no borrows cross digit
+    # boundaries
+    ndigits = 2 * n
+    raw = (pack(a) * pack(b) + from_bytes(bias * ndigits, "little")).to_bytes(
+        ndigits * w, "little"
+    )
+    return [from_bytes(raw[o:o + w], "little") - half for o in range(0, n * w, w)]
 
 
 def _inverse(a: tuple) -> list:
@@ -301,14 +266,14 @@ class Series:
         """k-th power by repeated squaring, precision unchanged."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Series.one(self.prec)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
+        if k == 0:
+            return Series.one(self.prec)
+        # left to right over the bits of k, starting from the base itself
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def inverse(self) -> "Series":

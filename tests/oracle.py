@@ -7,6 +7,11 @@ routines stay usable as an independent cross-check at small orders.
 """
 
 
+def one(n):
+    """The series 1 as a length-n list."""
+    return [1] + [0] * (n - 1) if n else []
+
+
 def mul(a, b, n):
     """Truncated product of coefficient lists a and b, first n terms."""
     out = [0] * n
@@ -19,10 +24,11 @@ def mul(a, b, n):
 
 
 def inv(a, n):
-    """Term-by-term inverse; requires a[0] in {1, -1}."""
-    assert a and a[0] in (1, -1)
+    """Term-by-term inverse; requires a[0] in {1, -1} unless n is 0."""
     b = [0] * n
-    b[0] = a[0]
+    if n:
+        assert a and a[0] in (1, -1)
+        b[0] = a[0]
     for k in range(1, n):
         s = 0
         for i in range(1, min(k, len(a) - 1) + 1):
@@ -32,7 +38,7 @@ def inv(a, n):
 
 
 def power(a, e, n):
-    out = [1] + [0] * (n - 1)
+    out = one(n)
     for _ in range(e):
         out = mul(out, a, n)
     return out
@@ -40,7 +46,7 @@ def power(a, e, n):
 
 def poch(a, m, n):
     """Product of (1 - q^(a+km)) over a+km < n, as a length-n list."""
-    out = [1] + [0] * (n - 1)
+    out = one(n)
     for e in range(a, n, m):
         factor = [1] + [0] * (e - 1) + [-1]
         out = mul(out, factor, n)
@@ -49,12 +55,11 @@ def poch(a, m, n):
 
 def product(factors, n):
     """Product of (q^a; q^m)_inf^e over (a, m, e) triples, as a length-n list."""
-    # one spare term keeps inv defined at n = 0
-    out = [1] + [0] * n
+    out = one(n)
     for a, m, e in factors:
-        part = power(poch(a, m, n + 1), abs(e), n + 1)
-        out = mul(out, part if e > 0 else inv(part, n + 1), n + 1)
-    return out[:n]
+        part = power(poch(a, m, n), abs(e), n)
+        out = mul(out, part if e > 0 else inv(part, n), n)
+    return out
 
 
 def subst(a, m, n):

@@ -23,9 +23,9 @@ DD_PREFIX = [1, 5, 10, 5, -15, -25, 10]
 G_PREFIX = [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9]
 H_PREFIX = [1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6]
 
-# tiny sizes, both sides of 32 and 64, 224 (the first dense size with
-# 224 * 224 >= 50,000, so a Kronecker multiply), and sizes not divisible by
-# 5 for the q**5 series
+# tiny sizes; both sides of 32 and 64 and the size 224, where the engine once
+# switched between inverse and multiply paths (it has one of each now); 1000;
+# and sizes not divisible by 5 for the q**5 series
 SIZES = (1, 2, 31, 32, 33, 64, 65, 224, 1000)
 
 # product forms of R, G, H and the Euler-product ratios, independent of the
