@@ -23,30 +23,9 @@ from . import catalog, checks
 
 __all__ = ["main", "VERIFY_TARGETS", "SCAN_TARGETS", "FORMATS"]
 
-VERIFY_TARGETS = (
-    "B20",
-    "R5",
-    "A_full",
-    "B_full",
-    "D_full",
-    "dissect-A0",
-    "dissect-B0",
-    "dissect-D1",
-    "dissect-C0",
-)
-
+VERIFY_TARGETS = tuple(checks.VERIFY_CHECKS)
+SCAN_TARGETS = (*checks.SIGN_SCANS, "conjecture13", "asymptotic-c")
 FORMATS = ("table", "csv", "json")
-
-_SIGN_SCANS = {
-    "richmond-c": ("c", checks.RICHMOND_C),
-    "richmond-d": ("d", checks.RICHMOND_D),
-    "thm2": ("A", checks.THM2_A),
-    "thm3": ("B", checks.THM3_B),
-    "thm4": ("C", checks.THM4_C),
-    "thm5": ("D", checks.THM5_D),
-}
-
-SCAN_TARGETS = (*_SIGN_SCANS, "conjecture13", "asymptotic-c")
 
 
 def _usage_error(message: str) -> int:
@@ -140,16 +119,6 @@ def cmd_expand(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _run_verify(target: str, order: int) -> checks.Report:
-    if target == "B20":
-        return checks.verify_identity_B20(order)
-    if target == "R5":
-        return checks.verify_identity_R5(order)
-    if target in ("A_full", "B_full", "D_full"):
-        return checks.verify_genfun(target, order)
-    return checks.verify_dissection(target.split("-", 1)[1], order)
-
-
 def cmd_verify(args) -> int:
     if args.target != "all" and args.target not in VERIFY_TARGETS:
         return _usage_error(
@@ -161,7 +130,7 @@ def cmd_verify(args) -> int:
     # dissections first: their 5*order+4 builds meet the precision ceiling
     # before anything is computed, and cover most of what the rest reads
     first = sorted(targets, key=lambda t: not t.startswith("dissect-"))
-    done = {t: _run_verify(t, args.order) for t in first}
+    done = {t: checks.VERIFY_CHECKS[t](args.order) for t in first}
     reports = [done[t] for t in targets]
     docs = [_report_dict(r) for r in reports]
     doc = docs if args.target == "all" else docs[0]
@@ -215,7 +184,7 @@ def cmd_scan(args) -> int:
         ok = scan.report.ok()
         extras.append(f"asymptotic-c    checked={scan.checked} agreements={scan.agreements}")
     else:
-        name, pattern = _SIGN_SCANS[args.target]
+        name, pattern = checks.SIGN_SCANS[args.target]
         reports = [checks.scan_signs(name, pattern, args.n_max, subject=args.target)]
         doc = _report_dict(reports[0])
         ok = reports[0].ok()

@@ -67,6 +67,30 @@ def test_genfun_needs_no_inverse_once_cached(monkeypatch):
         assert checks.verify_genfun(which, 300).ok(), which
 
 
+def test_verify_checks_reach_the_module_functions_at_call_time(monkeypatch):
+    # bench/spans.py and the golden test replace these four by name
+    calls = []
+    for fn in ("verify_identity_B20", "verify_identity_R5", "verify_genfun", "verify_dissection"):
+        monkeypatch.setattr(checks, fn, lambda *a, fn=fn: calls.append((fn, *a)))
+    for check in checks.VERIFY_CHECKS.values():
+        check(7)
+    assert list(checks.VERIFY_CHECKS) == [s for s, _ in VERIFIERS]
+    assert calls == [
+        ("verify_identity_B20", 7),
+        ("verify_identity_R5", 7),
+        *(("verify_genfun", t, 7) for t in ("A_full", "B_full", "D_full")),
+        *(("verify_dissection", t, 7) for t in ("A0", "B0", "D1", "C0")),
+    ]
+
+
+def test_target_tables_stay_out_of_the_package_root():
+    import qser
+
+    for table in ("VERIFY_CHECKS", "SIGN_SCANS"):
+        assert table not in checks.__all__
+        assert not hasattr(qser, table)
+
+
 def test_b20_first_order_arithmetic():
     # q^1 on both sides: A(1) - 0 = 5 and 11 + (f1^6/f5^6)[1] = 11 - 6 = 5
     assert catalog.coefficient("A", 1) == 5
@@ -242,6 +266,59 @@ def test_asymptotic_scan_agreement():
     assert scan.checked > 200
     assert scan.agreements == scan.checked
     assert scan.agreement == 1.0
+
+
+def _c_with_bad_signs(monkeypatch, flipped, zero):
+    # c(n) with the sign of each index in flipped reversed and c(zero) set to 0
+    real_build = catalog.build
+
+    def build(name, prec):
+        series = real_build(name, prec)
+        if name != "c":
+            return series
+        coeffs = [-v if n in flipped else v for n, v in enumerate(series)]
+        coeffs[zero] = 0
+        return Series(coeffs)
+
+    monkeypatch.setattr(catalog, "build", build)
+    return real_build("c", 401)
+
+
+# the zero sits where the main term is negative, so only the zero rule flags it
+@pytest.mark.parametrize("n_max,flipped,status", [
+    (199, (), checks.Status.VERIFIED),  # 99 of 100 agree: exactly 99%
+    (400, (150, 221), checks.Status.VERIFIED),  # 298 of 301: 99.0%
+    (400, (150, 221, 303), checks.Status.VIOLATED),  # 297 of 301: 98.7%
+])
+def test_asymptotic_scan_lists_disagreements_at_the_agreement_floor(
+    monkeypatch, n_max, flipped, status
+):
+    c = _c_with_bad_signs(monkeypatch, set(flipped), 152)
+    scan = checks.scan_asymptotic(n_max)
+    assert scan.checked == n_max - 99
+    assert scan.agreements == scan.checked - len(flipped) - 1
+    assert scan.report.status is status
+    sign = {True: checks.Sign.POS, False: checks.Sign.NEG}
+    assert scan.report.violations == tuple(
+        checks.Violation(n, 0 if n == 152 else -c[n], sign[c[n] > 0])
+        for n in sorted((*flipped, 152))
+    )
+
+
+def test_asymptotic_scan_caps_violations(monkeypatch):
+    _c_with_bad_signs(monkeypatch, set(range(401)), 100)
+    scan = checks.scan_asymptotic(400)
+    assert scan.checked == 301
+    assert scan.agreements == 0
+    assert scan.report.status is checks.Status.VIOLATED
+    assert len(scan.report.violations) == checks.MAX_VIOLATIONS
+    assert [v.index for v in scan.report.violations] == list(range(100, 120))
+
+
+def test_asymptotic_main_term_overflows_to_a_signed_infinity():
+    # exp overflows past n of about 4.0e5; n = 0 and 2 mod 5 have cos > 0 and < 0
+    assert checks.asymptotic_c(10**6) == math.inf
+    assert checks.asymptotic_c(10**6 + 2) == -math.inf
 
 
 def test_asymptotic_scan_empty_range_is_verified():
