@@ -281,8 +281,9 @@ def verify_dissection(which: str, prec: int) -> Report:
     return _compare(f"dissect-{which}", lhs, rhs, prec)
 
 
-# verify target -> check of the order, in report order; every entry reaches
-# its verify_* function through this module's global at call time
+# verify target -> check of the order, in report order; each entry looks its
+# verify_* function up on this module at call time, so a wrapper installed
+# by name sees the call
 VERIFY_CHECKS = {
     "B20": lambda p: verify_identity_B20(p),
     "R5": lambda p: verify_identity_R5(p),
