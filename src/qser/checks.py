@@ -425,7 +425,7 @@ def scan_asymptotic(n_max: int) -> AsymptoticScan:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    series = catalog.build("c", max(n_max + 1, ASYMPTOTIC_N_MIN))
+    series = catalog.build("c", n_max + 1)
     violations = []
     for n in range(ASYMPTOTIC_N_MIN, n_max + 1):
         exact = series[n]

@@ -22,7 +22,6 @@ __all__ = [
     "NonUnitLeadingCoefficient",
     "ValuationMismatch",
     "ZeroDivisor",
-    "NegativeShiftNonzeroLowTerms",
 ]
 
 
@@ -44,10 +43,6 @@ class ValuationMismatch(SeriesError):
 
 class ZeroDivisor(SeriesError):
     """Division by a series that is zero to its precision."""
-
-
-class NegativeShiftNonzeroLowTerms(SeriesError):
-    """shift() by a negative amount requires the dropped low terms to be known zeros."""
 
 
 def _mul_lists(a: tuple, b: tuple, n: int) -> list:
@@ -201,27 +196,6 @@ class Series:
         head = ", ".join(map(str, self.coeffs[:12]))
         return f"Series([{head}, ...], prec={self.prec})"
 
-    def __str__(self) -> str:
-        parts = []
-        for i, v in enumerate(self.coeffs):
-            if not v:
-                continue
-            if len(parts) == 8:
-                parts.append("...")
-                break
-            mag = abs(v)
-            if i == 0:
-                term = str(mag)
-            else:
-                base = "q" if i == 1 else f"q^{i}"
-                term = base if mag == 1 else f"{mag}*{base}"
-            if not parts:
-                parts.append(term if v > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if v > 0 else f"- {term}")
-        body = " ".join(parts) if parts else "0"
-        return f"{body} + O(q^{self.prec})"
-
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other) -> "Series":
@@ -233,8 +207,6 @@ class Series:
         a, b = self.coeffs, other.coeffs
         return Series._make(tuple(a[i] + b[i] for i in range(n)))
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Series":
         if isinstance(other, int) and not isinstance(other, bool):
             other = Series.monomial(other, 0, self.prec)
@@ -244,23 +216,14 @@ class Series:
         a, b = self.coeffs, other.coeffs
         return Series._make(tuple(a[i] - b[i] for i in range(n)))
 
-    def __rsub__(self, other) -> "Series":
-        if isinstance(other, int) and not isinstance(other, bool):
-            return Series.monomial(other, 0, self.prec) - self
-        return NotImplemented
-
     def __neg__(self) -> "Series":
         return Series._make(tuple(-v for v in self.coeffs))
 
     def __mul__(self, other) -> "Series":
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.scale(other)
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.prec, other.prec)
         return Series._make(tuple(_mul_lists(self.coeffs, other.coeffs, n)))
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Series":
         """k-th power by repeated squaring, precision unchanged."""
@@ -313,19 +276,10 @@ class Series:
     # -- reindexing -------------------------------------------------------
 
     def shift(self, k: int) -> "Series":
-        """Multiply by q**k; k < 0 drops low coefficients that must be zero."""
-        if k >= 0:
-            return Series._make((0,) * k + self.coeffs)
-        drop = -k
-        if drop > self.prec:
-            raise NegativeShiftNonzeroLowTerms(
-                f"cannot shift by {k}: only {self.prec} coefficients are known"
-            )
-        if any(self.coeffs[:drop]):
-            raise NegativeShiftNonzeroLowTerms(
-                f"cannot shift by {k}: low coefficients are not all zero"
-            )
-        return Series._make(self.coeffs[drop:])
+        """Multiply by q**k for k >= 0; precision grows by k."""
+        if k < 0:
+            raise ValueError("shift must be nonnegative")
+        return Series._make((0,) * k + self.coeffs)
 
     def scale(self, c: int) -> "Series":
         """Multiply every coefficient by the integer c."""

@@ -255,8 +255,6 @@ def test_asymptotic_signs_match_exact_coefficients():
     series = catalog.build("c", 140)
     for n in range(100, 140):
         predicted = checks.asymptotic_c(n)
-        if abs(math.cos((2 * math.pi / 5) * (n - 0.4))) <= 0.1:
-            continue
         assert (predicted > 0) == (series[n] > 0), n
 
 
