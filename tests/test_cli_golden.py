@@ -7,6 +7,7 @@ cases cover every ``expand`` name at orders 1 and 12, every ``verify`` target
 and ``all`` at order 30, every ``scan`` target at ``--n-max`` 0, 1, 30 and
 150, all in the three formats, the usage errors, and ``verify B20`` and
 ``scan thm2`` with a substituted VIOLATED report.
+Every ``verify`` target and ``all`` also runs at orders 1 and 301.
 
 argparse writes the help and parse-error text itself and rewords it between
 Python versions, so those cases compare their text only on the Python version
@@ -99,6 +100,10 @@ def cases() -> list[dict]:
                 add(("scan", target, "--n-max", n_max, "--format", fmt))
         add(("verify", "B20", "--order", "30", "--format", fmt), patch="verify_identity_B20")
         add(("scan", "thm2", "--n-max", "30", "--format", fmt), patch="scan_signs")
+    for fmt in FORMATS:
+        for target in VERIFY_TARGETS:
+            for order in ("1", "301"):
+                add(("verify", target, "--order", order, "--format", fmt))
     for argv in USAGE_ERRORS:
         add(argv)
     for argv in ARGPARSE_CASES:
