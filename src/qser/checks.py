@@ -65,7 +65,6 @@ class Sign(Enum):
     POS = "pos"
     NEG = "neg"
     ZERO = "zero"
-    UNCONSTRAINED = "unconstrained"
 
 
 class Status(Enum):
@@ -216,12 +215,14 @@ _PLUS_QUARTIC = (1, 3, 4, 2, 1)
 
 def verify_identity_R5(prec: int) -> Report:
     """R**5 == x * (1-2qx+4q2x2-3q3x3+q4x4) / (1+3qx+4q2x2+2q3x3+q4x4)
-    with x = R(q**5)."""
+    with x = R(q**5), checked as R**5 * plus == x * minus."""
     _require_order(prec)
     x = catalog.build("Rq5", prec)
-    rhs = x * _powers_times_q(x, _MINUS_QUARTIC) / _powers_times_q(x, _PLUS_QUARTIC)
     lhs = catalog.build("R5", prec)
-    return _compare("R5", lhs, rhs, prec)
+    gap = lhs * _powers_times_q(x, _PLUS_QUARTIC) - x * _powers_times_q(x, _MINUS_QUARTIC)
+    # plus has constant term 1, so gap first differs from zero where R**5 - x*minus/plus
+    # does and by the same value; lhs - gap equals that quotient up to that index
+    return _compare("R5", lhs, lhs - gap, prec)
 
 
 # target -> (series checked, power p of x in the denominator, quartic weights)
@@ -322,8 +323,8 @@ def scan_signs(
             if value != want_value:
                 violations.append(Violation(n, value, _sign_of(want_value)))
             continue
-        want = pattern.expected.get(n % pattern.modulus, Sign.UNCONSTRAINED)
-        if want is not Sign.UNCONSTRAINED and _sign_of(value) is not want:
+        want = pattern.expected.get(n % pattern.modulus)
+        if want is not None and _sign_of(value) is not want:
             violations.append(Violation(n, value, want))
     if not violations:
         return Report(subject, n_max, Status.VERIFIED)
@@ -347,7 +348,6 @@ class Conjecture13Result:
     period 0 and the D claim holds everywhere tested.
     """
 
-    n_max: int
     a: Report
     b: Report
     d: Report
@@ -381,7 +381,7 @@ def check_conjecture13(n_max: int) -> Conjecture13Result:
     b = scan_signs("B", CONJ13_B, 5 * n_max, subject="conjecture13-B")
     d = scan_signs("D", CONJ13_D, 5 * n_max + 1, subject="conjecture13-D")
     a = scan_signs("A", CONJ13_A, 5 * n_max, subject="conjecture13-A")
-    return Conjecture13Result(n_max, a, b, d)
+    return Conjecture13Result(a, b, d)
 
 
 # -- asymptotic cross-check --------------------------------------------------

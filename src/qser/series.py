@@ -106,15 +106,11 @@ class Series:
     coeffs: tuple
     prec: int
 
-    def __init__(self, coeffs: Iterable[int] = (), prec: int | None = None):
+    def __init__(self, coeffs: Iterable[int] = ()):
         t = tuple(coeffs)
         for v in t:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError(f"coefficients must be exact ints, got {v!r}")
-        if prec is not None:
-            if prec < len(t):
-                raise ValueError(f"prec {prec} smaller than {len(t)} given coefficients")
-            t = t + (0,) * (prec - len(t))
         object.__setattr__(self, "coeffs", t)
         object.__setattr__(self, "prec", len(t))
 
@@ -208,13 +204,9 @@ class Series:
         return Series._make(tuple(a[i] + b[i] for i in range(n)))
 
     def __sub__(self, other) -> "Series":
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = Series.monomial(other, 0, self.prec)
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = min(self.prec, other.prec)
-        a, b = self.coeffs, other.coeffs
-        return Series._make(tuple(a[i] - b[i] for i in range(n)))
+        if isinstance(other, (int, Series)) and not isinstance(other, bool):
+            return self + -other
+        return NotImplemented
 
     def __neg__(self) -> "Series":
         return Series._make(tuple(-v for v in self.coeffs))

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from qser import catalog, checks
-from qser.series import Series
+from qser.series import NonUnitLeadingCoefficient, Series
 
 from test_catalog import C_PREFIX
 
@@ -54,17 +54,78 @@ def test_unknown_verify_names_rejected():
         checks.verify_dissection("A1", 10)
 
 
-def test_genfun_needs_no_inverse_once_cached(monkeypatch):
-    # 1/x is read from the cache as Rinv(q**5), so a warm check inverts nothing
-    for which in ("A_full", "B_full", "D_full"):
-        checks.verify_genfun(which, 300)
+def test_warm_verify_needs_no_division(monkeypatch):
+    # the checks use ring operations only: with every series cached (1/x of
+    # the genfun checks is Rinv(q**5)), no check divides or inverts
+    for check in checks.VERIFY_CHECKS.values():
+        check(300)
 
-    def no_inverse(self):
-        raise AssertionError("verify_genfun inverted a series")
+    def no_division(*args):
+        raise AssertionError("a warm verify check divided a series")
 
-    monkeypatch.setattr(Series, "inverse", no_inverse)
-    for which in ("A_full", "B_full", "D_full"):
-        assert checks.verify_genfun(which, 300).ok(), which
+    monkeypatch.setattr(Series, "inverse", no_division)
+    monkeypatch.setattr(Series, "__truediv__", no_division)
+    for target, check in checks.VERIFY_CHECKS.items():
+        assert check(300).ok(), target
+
+
+def _r5_by_division(prec):
+    # the R5 report as the quotient form of the identity gives it
+    x = catalog.build("Rq5", prec)
+    minus = checks._powers_times_q(x, checks._MINUS_QUARTIC)
+    plus = checks._powers_times_q(x, checks._PLUS_QUARTIC)
+    return checks._compare("R5", catalog.build("R5", prec), x * minus / plus, prec)
+
+
+_QUARTIC_WEIGHTS = [
+    (table, k) for table in ("_PLUS_QUARTIC", "_MINUS_QUARTIC") for k in range(5)
+]
+
+
+@pytest.mark.parametrize("table,k", _QUARTIC_WEIGHTS, ids=[f"{t}[{k}]" for t, k in _QUARTIC_WEIGHTS])
+@pytest.mark.parametrize("order", [1, 7, 30, 300])
+def test_r5_report_matches_quotient_with_a_wrong_weight(monkeypatch, table, k, order):
+    weights = list(getattr(checks, table))
+    weights[k] += 1
+    monkeypatch.setattr(checks, table, tuple(weights))
+    report = checks.verify_identity_R5(order)
+    if (table, k) == ("_PLUS_QUARTIC", 0):
+        # a divisor with constant term 2 has no integer quotient to report
+        # against; the products still differ from q**0 on
+        with pytest.raises(NonUnitLeadingCoefficient):
+            _r5_by_division(order)
+        assert report.first_divergence.index == 0
+        return
+    assert report == _r5_by_division(order)
+    # weight k first acts on coefficient k
+    assert report.ok() == (order <= k)
+
+
+_R5_PERTURBATIONS = {
+    "first": lambda p: (0,),
+    "last": lambda p: (p - 1,),
+    "middle-and-last": lambda p: (p // 2, p - 1),
+}
+
+
+@pytest.mark.parametrize("where", list(_R5_PERTURBATIONS))
+@pytest.mark.parametrize("order", [30, 300])
+def test_r5_report_matches_quotient_with_a_wrong_r5(monkeypatch, where, order):
+    real_build = catalog.build
+
+    def build(name, prec):
+        s = real_build(name, prec)
+        if name != "R5":
+            return s
+        coeffs = list(s)
+        for i in _R5_PERTURBATIONS[where](prec):
+            coeffs[i] += 1
+        return Series(coeffs)
+
+    monkeypatch.setattr(catalog, "build", build)
+    report = checks.verify_identity_R5(order)
+    assert report.status is checks.Status.VIOLATED
+    assert report == _r5_by_division(order)
 
 
 def test_verify_checks_reach_the_module_functions_at_call_time(monkeypatch):

@@ -6,6 +6,10 @@ blank line, are its expected stdout.  So does every "`qser ...` prints:"
 sentence, whose expected stdout is the code block that follows it.  An
 expected line containing ``...`` matches any real line that starts with the
 text before it and ends with the text after it.
+
+The python block under "Library" runs as written, and each line whose
+comment is a value (``# -175``) or an equality (``# == Series.one(50)``)
+evaluates to that value.
 """
 
 import re
@@ -55,6 +59,24 @@ def _matches(expected: str, got: str) -> bool:
     return len(got) >= len(head) + len(tail) and got.startswith(head) and got.endswith(tail)
 
 
+def library_block() -> list[str]:
+    section = README[README.index("## Library"):]
+    return _block_after(section, section.index("```python"))
+
+
+def library_results() -> list[tuple[str, str]]:
+    """(expression, expected) for each Library line whose comment is a result."""
+    out = []
+    for line in library_block():
+        code, _, comment = line.partition("#")
+        comment = comment.strip()
+        if comment.startswith("== "):
+            out.append((code.strip(), comment[3:]))
+        elif re.fullmatch(r"-?\d+", comment):
+            out.append((code.strip(), comment))
+    return out
+
+
 def test_readme_has_examples():
     assert len(shell_examples()) == 3
     assert len(prints_examples()) == 1
@@ -70,3 +92,12 @@ def test_readme_example_output(capsys, command, expected):
     assert len(got) == len(expected), got
     for e, g in zip(expected, got):
         assert _matches(e, g), (e, g)
+
+
+def test_readme_library_example():
+    namespace = {}
+    exec("\n".join(library_block()), namespace)
+    results = library_results()
+    assert [e for _, e in results] == ["-175", "Series.one(50)", "Series([1] * 10)"]
+    for expression, expected in results:
+        assert eval(expression, namespace) == eval(expected, namespace), expression
