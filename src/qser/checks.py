@@ -221,7 +221,7 @@ def verify_identity_R5(prec: int) -> Report:
     lhs = catalog.build("R5", prec)
     gap = lhs * _powers_times_q(x, _PLUS_QUARTIC) - x * _powers_times_q(x, _MINUS_QUARTIC)
     # plus has constant term 1, so gap first differs from zero where R**5 - x*minus/plus
-    # does and by the same value; lhs - gap equals that quotient up to that index
+    # does, by the same value: lhs - gap is that quotient up to and including the index
     return _compare("R5", lhs, lhs - gap, prec)
 
 
