@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qser import catalog
+from qser import catalog, checks
 from qser.cli import main
 
 
@@ -188,6 +188,51 @@ def test_scan_conjecture13_table_summary(capsys):
     assert code == 0
     assert "expectation met" in out
     assert "A=[0] B=[0] D=[]" in out
+
+
+# the D claim made to fail at every period, so the outcome differs from the
+# paper's; stdout recorded at the code before conjecture13 returned a dict
+_UNEXPECTED_OUT = {
+    "table": (
+        "conjecture13-A  falsified order=10  falsified_at=[0]\n"
+        "    n=0 value=1 expected=neg\n"
+        "conjecture13-B  falsified order=10  falsified_at=[0]\n"
+        "    n=0 value=1 expected=neg\n"
+        "conjecture13-D  falsified order=11  falsified_at=[0, 1, 2]\n"
+        "    n=1 value=5 expected=neg\n"
+        "    n=6 value=10 expected=neg\n"
+        "    n=11 value=85 expected=neg\n"
+        "conjecture13    UNEXPECTED OUTCOME: A=[0] B=[0] D=[0, 1, 2]\n"
+    ),
+    "csv": (
+        "subject,order_checked,status,index,value,expected\n"
+        "conjecture13-A,10,falsified,0,1,neg\n"
+        "conjecture13-B,10,falsified,0,1,neg\n"
+        "conjecture13-D,11,falsified,1,5,neg\n"
+        "conjecture13-D,11,falsified,6,10,neg\n"
+        "conjecture13-D,11,falsified,11,85,neg\n"
+    ),
+    "json": (
+        '{"subject":"conjecture13","order_checked":2,"status":"falsified",'
+        '"first_divergence":null,"violations":['
+        '{"index":0,"value":"1","expected":"neg","series":"A"},'
+        '{"index":0,"value":"1","expected":"neg","series":"B"},'
+        '{"index":1,"value":"5","expected":"neg","series":"D"},'
+        '{"index":6,"value":"10","expected":"neg","series":"D"},'
+        '{"index":11,"value":"85","expected":"neg","series":"D"}],'
+        '"falsified_at":{"A":[0],"B":[0],"D":[0,1,2]}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_UNEXPECTED_OUT))
+def test_scan_conjecture13_unexpected_outcome(capsys, monkeypatch, fmt):
+    wrong_d = checks.SignPattern(5, {1: checks.Sign.NEG}, conjecture=True)
+    monkeypatch.setattr(checks, "CONJ13_D", wrong_d)
+    code, out, err = run(capsys, "scan", "conjecture13", "--n-max", "2", "--format", fmt)
+    assert code == 1
+    assert out == _UNEXPECTED_OUT[fmt]
+    assert err == ""
 
 
 def test_scan_asymptotic_streams(capsys):
