@@ -31,7 +31,6 @@ __all__ = [
     "Violation",
     "SignPattern",
     "Report",
-    "Conjecture13Result",
     "AsymptoticScan",
     "MAX_VIOLATIONS",
     "RICHMOND_C",
@@ -43,6 +42,7 @@ __all__ = [
     "CONJ13_A",
     "CONJ13_B",
     "CONJ13_D",
+    "CONJ13_FALSIFIED_AT",
     "verify_identity_B20",
     "verify_identity_R5",
     "verify_genfun",
@@ -152,11 +152,12 @@ THM3_B = SignPattern(5, {1: N, 2: P, 3: N, 4: P})
 THM4_C = SignPattern(5, {0: N, 1: N, 2: P, 3: N, 4: P}, {0: 1})
 THM5_D = SignPattern(5, {0: N, 2: P, 3: P, 4: N}, {0: 1})
 
-# the claimed-for-all-n patterns that the engine is expected to falsify at
-# n = 0 for the A and B families (and to uphold for D)
+# the claimed-for-all-n patterns, and the paper's outcome: the periods where
+# each claim breaks (n = 0 for A and B; the D claim holds)
 CONJ13_A = SignPattern(5, {0: N}, conjecture=True)
 CONJ13_B = SignPattern(5, {0: N}, conjecture=True)
 CONJ13_D = SignPattern(5, {1: P}, conjecture=True)
+CONJ13_FALSIFIED_AT = {"A": [0], "B": [0], "D": []}
 
 del P, N
 
@@ -340,38 +341,12 @@ def scan_signs(
     return Report(subject, n_max, Status.VIOLATED, violations=tuple(violations[:MAX_VIOLATIONS]))
 
 
-@dataclass(frozen=True)
-class Conjecture13Result:
-    """Three sub-scans of the claimed all-n patterns for A, B and D.
-
-    The recorded expectation is that the A and B claims break exactly at
-    period 0 and the D claim holds everywhere tested.
-    """
-
-    a: Report
-    b: Report
-    d: Report
-
-    EXPECTED = {"A": (0,), "B": (0,), "D": ()}
-
-    @property
-    def falsified_at(self) -> dict:
-        return {
-            "A": list(self.a.falsified_at or ()),
-            "B": list(self.b.falsified_at or ()),
-            "D": list(self.d.falsified_at or ()),
-        }
-
-    def matches_expected(self) -> bool:
-        got = self.falsified_at
-        return all(tuple(got[k]) == v for k, v in self.EXPECTED.items())
-
-
-def check_conjecture13(n_max: int) -> Conjecture13Result:
+def check_conjecture13(n_max: int) -> dict[str, Report]:
     """Scan the all-n sign claims for A(5n), B(5n), D(5n+1) up to n_max.
 
-    n_max counts pattern periods: the A and B scans cover coefficients up
-    to 5*n_max, the D scan up to 5*n_max + 1.
+    Returns the three reports keyed by the series scanned, in the order A,
+    B, D. n_max counts pattern periods: the A and B scans cover
+    coefficients up to 5*n_max, the D scan up to 5*n_max + 1.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -381,7 +356,7 @@ def check_conjecture13(n_max: int) -> Conjecture13Result:
     b = scan_signs("B", CONJ13_B, 5 * n_max, subject="conjecture13-B")
     d = scan_signs("D", CONJ13_D, 5 * n_max + 1, subject="conjecture13-D")
     a = scan_signs("A", CONJ13_A, 5 * n_max, subject="conjecture13-A")
-    return Conjecture13Result(a, b, d)
+    return {"A": a, "B": b, "D": d}
 
 
 # -- asymptotic cross-check --------------------------------------------------
@@ -408,10 +383,6 @@ class AsymptoticScan:
     report: Report
     checked: int
     agreements: int
-
-    @property
-    def agreement(self) -> float:
-        return self.agreements / self.checked if self.checked else 1.0
 
 
 def scan_asymptotic(n_max: int) -> AsymptoticScan:

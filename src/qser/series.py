@@ -190,7 +190,7 @@ class Series:
         if self.prec <= 16:
             return f"Series({list(self.coeffs)!r})"
         head = ", ".join(map(str, self.coeffs[:12]))
-        return f"Series([{head}, ...], prec={self.prec})"
+        return f"<Series of {self.prec} terms: {head}, ...>"
 
     # -- ring operations --------------------------------------------------
 

@@ -260,21 +260,25 @@ def test_enum_wire_values():
 
 
 def test_conjecture13_falsified_exactly_at_zero():
-    result = checks.check_conjecture13(40)
-    assert result.falsified_at == {"A": [0], "B": [0], "D": []}
-    assert result.matches_expected()
-    assert result.a.status is checks.Status.FALSIFIED
-    assert result.b.status is checks.Status.FALSIFIED
-    assert result.d.status is checks.Status.VERIFIED
-    assert result.a.violations == (checks.Violation(0, 1, checks.Sign.NEG),)
-    assert result.b.violations == (checks.Violation(0, 1, checks.Sign.NEG),)
+    parts = checks.check_conjecture13(40)
+    assert list(parts) == ["A", "B", "D"]
+    assert checks.CONJ13_FALSIFIED_AT == {"A": [0], "B": [0], "D": []}
+    assert {k: r.falsified_at for k, r in parts.items()} == {"A": (0,), "B": (0,), "D": None}
+    assert parts["A"].status is checks.Status.FALSIFIED
+    assert parts["B"].status is checks.Status.FALSIFIED
+    assert parts["D"].status is checks.Status.VERIFIED
+    assert parts["A"].violations == (checks.Violation(0, 1, checks.Sign.NEG),)
+    assert parts["B"].violations == (checks.Violation(0, 1, checks.Sign.NEG),)
 
 
 def test_conjecture13_scan_bounds():
-    result = checks.check_conjecture13(12)
-    assert result.a.order_checked == 60
-    assert result.b.order_checked == 60
-    assert result.d.order_checked == 61
+    parts = checks.check_conjecture13(12)
+    assert parts["A"].order_checked == 60
+    assert parts["B"].order_checked == 60
+    assert parts["D"].order_checked == 61
+    assert [r.subject for r in parts.values()] == [
+        "conjecture13-A", "conjecture13-B", "conjecture13-D"
+    ]
 
 
 def test_conjecture13_computes_each_name_once(monkeypatch):
@@ -291,10 +295,10 @@ def test_conjecture13_computes_each_name_once(monkeypatch):
 
 
 def test_conjecture13_at_period_zero():
-    result = checks.check_conjecture13(0)
-    assert result.d.ok()
+    parts = checks.check_conjecture13(0)
+    assert parts["D"].ok()
     assert catalog.coefficient("D", 1) == 5
-    assert result.matches_expected()
+    assert {k: r.falsified_at for k, r in parts.items()} == {"A": (0,), "B": (0,), "D": None}
     with pytest.raises(ValueError):
         checks.check_conjecture13(-1)
 
@@ -325,7 +329,7 @@ def test_asymptotic_scan_agreement():
     assert scan.report.ok()
     assert scan.checked > 200
     assert scan.agreements == scan.checked
-    assert scan.agreement == 1.0
+    assert scan.report.violations == ()
 
 
 def _c_with_bad_signs(monkeypatch, flipped, zero):
@@ -384,8 +388,9 @@ def test_asymptotic_main_term_overflows_to_a_signed_infinity():
 def test_asymptotic_scan_empty_range_is_verified():
     scan = checks.scan_asymptotic(50)  # below the sampling floor of 100
     assert scan.checked == 0
+    assert scan.agreements == 0
     assert scan.report.ok()
-    assert scan.agreement == 1.0
+    assert scan.report.violations == ()
 
 
 def test_scan_toolkit_reachable_from_package_root():

@@ -36,7 +36,7 @@ def test_empty_series_has_no_known_coefficients():
     assert s.valuation() is None
 
 
-def test_prec_argument_pads_with_zeros():
+def test_constructor_takes_no_prec():
     # the constructor takes coefficients only; padding is written out
     with pytest.raises(TypeError):
         Series([1, 2], prec=5)
@@ -218,7 +218,7 @@ def test_oracle_returns_n_terms():
 
 
 @pytest.mark.parametrize("lo,hi", [(-9, 9), (-1, 1), (-(10**40), 10**40)])
-def test_kronecker_matches_schoolbook(lo, hi):
+def test_mul_lists_matches_oracle_mul(lo, hi):
     rng = random.Random(hash((lo, hi)) & 0xFFFF)
     for _ in range(25):
         n = rng.randint(64, 200)
@@ -291,7 +291,7 @@ def test_inverse_is_involution():
         assert s * s.inverse() == Series.one(50)
 
 
-def test_newton_matches_recursive_inverse():
+def test_dense_unit_inverse_matches_oracle():
     # the inputs that once split between a Newton iteration (prec > 32) and
     # the plain recurrence: dense random unit series of size 33..128.  The
     # division recurrence must give the oracle's inverse and multiply back
@@ -412,7 +412,7 @@ def test_shift_positive_raises_precision():
     assert out.prec == 5
 
 
-def test_shift_negative_requires_known_zeros():
+def test_negative_shift_is_rejected():
     # only multiplication by q**k with k >= 0 is a shift; dividing by q**k is
     # written as division by Series.monomial(1, k, prec)
     with pytest.raises(ValueError):
@@ -495,7 +495,12 @@ def test_operations_are_prefix_stable():
         assert (a80**3).truncate(40) == a40**3
 
 
-def test_repr_and_str_do_not_explode():
-    s = Series([1, -1] + [0] * 30)
-    assert "Series" in repr(s)
-    assert str(s) == repr(s)
+def test_repr():
+    # a short series reads back as itself; a long one names its length and
+    # cannot be read as a constructor call
+    short = Series([1, -1] + [0] * 14)
+    assert eval(repr(short), {"Series": Series}) == short
+    long = Series([1, -1] + [0] * 30)
+    assert repr(long) == "<Series of 32 terms: 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ...>"
+    assert "prec=" not in repr(long)
+    assert str(long) == repr(long)
