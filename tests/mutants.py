@@ -17,44 +17,151 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+CATALOG = "src/qser/catalog.py"
 CHECKS = "src/qser/checks.py"
+CLI = "src/qser/cli.py"
+PRODUCTS = "src/qser/products.py"
+SERIES = "src/qser/series.py"
+
+T_CATALOG = "tests/test_catalog.py"
+T_CHECKS = "tests/test_checks.py"
+T_CLI = "tests/test_cli.py"
+T_GOLDEN = "tests/test_cli_golden.py"
+T_PRODUCTS = "tests/test_products.py"
+T_SERIES = "tests/test_series.py"
 
 # (path, old text, new text, test files); each old text occurs exactly once
 # in its file
 MUTANTS = [
-    (CHECKS, "lhs, lhs - gap, prec)", "lhs, lhs + gap, prec)", ("tests/test_checks.py",)),
+    # the multiply's pack and the division recurrence
+    (SERIES, "w = (bits + 7) // 8", "w = (bits - 1) // 8", (T_SERIES,)),
+    (SERIES, "w = (bits + 7) // 8", "w = max(1, (bits - 1) // 8)", (T_SERIES,)),
+    (SERIES, "ndigits = 2 * n", "ndigits = n", (T_SERIES,)),
+    (
+        SERIES,
+        "raw = (pack(a) * pack(b) +",
+        'raw = (pack(a) * (pack(b) + from_bytes(bias * len(b), "little")) +',
+        (T_SERIES,),
+    ),
+    (SERIES, "if i > k:", "if i >= k:", (T_SERIES,)),
+    (SERIES, "(i, -a0 * v)", "(i, -v)", (T_SERIES,)),
+    (SERIES, "return self + -other", "return self + other", (T_SERIES,)),
+    (
+        SERIES,
+        'f"<Series of {self.prec} terms: {head}, ...>"',
+        'f"Series([{head}, ...], prec={self.prec})"',
+        (T_SERIES,),
+    ),
+    # the product forms and the sum forms
+    (PRODUCTS, "for k in range(t, prec, t):", "for k in range(t + 1, prec, t):", (T_PRODUCTS,)),
+    (
+        PRODUCTS,
+        "zip(c[k:k + t], c[k - t:k])",
+        "zip(c[k:k + t], c[k - t + 1:k + 1])",
+        (T_PRODUCTS,),
+    ),
+    (PRODUCTS, "for _ in range(abs(e)):", "for _ in range(1):", (T_PRODUCTS,)),
+    (PRODUCTS, "zip(c[t:], c)", "zip(c[t:], c[1:])", (T_PRODUCTS,)),
+    (CATALOG, "for k in range(n, prec):", "for k in range(n + 1, prec):", (T_CATALOG,)),
+    # the precision ceiling and the cache growth
+    (CATALOG, "if prec > MAX_PREC:", "if prec > 10 * MAX_PREC:", (T_CATALOG, T_CLI)),
+    (
+        CATALOG,
+        "min(MAX_PREC, max(64, 2 * (hit.prec if hit is not None else 0)))",
+        "max(64, 2 * (hit.prec if hit is not None else 0))",
+        (T_CATALOG,),
+    ),
+    (CLI, "except catalog.PrecisionTooLarge as exc:", "except ZeroDivisionError as exc:", (T_CLI,)),
+    (
+        CLI,
+        'first = sorted(targets, key=lambda t: not t.startswith("dissect-"))',
+        "first = targets",
+        (T_CLI,),
+    ),
+    # identity checks
+    (CHECKS, "qx = x.shift(1).truncate(x.prec)", "qx = x", (T_CHECKS,)),
+    (CHECKS, "for w in reversed(weights[1:-1]):", "for w in weights[1:-1]:", (T_CHECKS,)),
+    (CHECKS, "lhs, lhs - gap, prec)", "lhs, lhs + gap, prec)", (T_CHECKS,)),
     (
         CHECKS,
         "lhs * _powers_times_q(x, _PLUS_QUARTIC) - x * _powers_times_q(x, _MINUS_QUARTIC)",
         "lhs * _powers_times_q(x, _MINUS_QUARTIC) - x * _powers_times_q(x, _PLUS_QUARTIC)",
-        ("tests/test_checks.py",),
+        (T_CHECKS,),
     ),
     (
         CHECKS,
         "- x * _powers_times_q(x, _MINUS_QUARTIC)",
         "- _powers_times_q(x, _MINUS_QUARTIC)",
-        ("tests/test_checks.py",),
+        (T_CHECKS,),
     ),
-    ("src/qser/series.py", "return self + -other", "return self + other", ("tests/test_series.py",)),
-    (CHECKS, "want is not None", "want is None", ("tests/test_checks.py",)),
+    (CHECKS, "x_inv ** power *", "x_inv ** (power - 1) *", (T_CHECKS,)),
     (
-        "src/qser/cli.py",
-        "ok = falsified == checks.CONJ13_FALSIFIED_AT",
-        "ok = falsified != checks.CONJ13_FALSIFIED_AT",
-        ("tests/test_cli.py",),
+        CHECKS,
+        '"D1": ("Dratio", 1), "C0": ("Cratio", 0)}',
+        '"C0": ("Cratio", 0), "D1": ("Dratio", 1)}',
+        (T_CHECKS,),
     ),
-    (CHECKS, 'return {"A": a, "B": b, "D": d}', 'return {"A": b, "B": a, "D": d}', ("tests/test_checks.py",)),
+    (
+        CHECKS,
+        '"B20": lambda p: verify_identity_B20(p),',
+        '"B20": verify_identity_B20,',
+        (T_CHECKS,),
+    ),
+    # sign scans and the conjecture13 outcome
+    (CHECKS, "want is not None", "want is None", (T_CHECKS,)),
+    (
+        CHECKS,
+        'return {"A": a, "B": b, "D": d}',
+        'return {"A": b, "B": a, "D": d}',
+        (T_CHECKS,),
+    ),
     (
         CHECKS,
         'CONJ13_FALSIFIED_AT = {"A": [0], "B": [0], "D": []}',
         'CONJ13_FALSIFIED_AT = {"A": [0], "B": [0], "D": [0]}',
-        ("tests/test_checks.py",),
+        (T_CHECKS,),
     ),
     (
-        "src/qser/series.py",
-        'f"<Series of {self.prec} terms: {head}, ...>"',
-        'f"Series([{head}, ...], prec={self.prec})"',
-        ("tests/test_series.py",),
+        CLI,
+        "ok = falsified == checks.CONJ13_FALSIFIED_AT",
+        "ok = falsified != checks.CONJ13_FALSIFIED_AT",
+        (T_CLI,),
+    ),
+    (CLI, '{**v, "series": k}', "{**v}", (T_CLI,)),
+    (
+        CLI,
+        'line += f"  falsified_at={list(r.falsified_at)}"',
+        'line += ""',
+        (T_CLI,),
+    ),
+    (
+        CLI,
+        'for row in rows or [("", "", "")]:',
+        'for row in (rows or [("", "", "")])[:1]:',
+        (T_CLI,),
+    ),
+    (CLI, '"divergence_index,lhs,rhs", 12)', '"divergence_index,lhs,rhs", 15)', (T_GOLDEN,)),
+    # the asymptotic cross-check
+    (
+        CHECKS,
+        "agreements / checked >= ASYMPTOTIC_MIN_AGREEMENT",
+        "agreements / checked > ASYMPTOTIC_MIN_AGREEMENT",
+        (T_CHECKS,),
+    ),
+    (CHECKS, "(predicted > 0) or exact == 0:", "(predicted > 0):", (T_CHECKS,)),
+    (
+        CHECKS,
+        "checked = max(n_max + 1 - ASYMPTOTIC_N_MIN, 0)",
+        "checked = max(n_max - ASYMPTOTIC_N_MIN, 0)",
+        (T_CHECKS,),
+    ),
+    (CHECKS, "_sign_of(1 if predicted > 0 else -1)", "_sign_of(exact)", (T_CHECKS,)),
+    (CHECKS, "growth = math.inf", "growth = 0.0", (T_CHECKS,)),
+    (
+        CHECKS,
+        "else Status.VIOLATED,\n        violations=tuple(violations[:MAX_VIOLATIONS])",
+        "else Status.VIOLATED,\n        violations=tuple(violations)",
+        (T_CHECKS,),
     ),
 ]
 
@@ -63,7 +170,8 @@ def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "repo")
-        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
+        skip = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")
+        shutil.copytree(ROOT, tree, ignore=skip)
         for path, old, new, tests in MUTANTS:
             target = os.path.join(tree, path)
             with open(target) as f:
