@@ -8,41 +8,15 @@ up is unknown, and arithmetic propagates precision conservatively
 (min of the operands, adjusted by shifts and dissections).
 
 Series are immutable; all operations return new values and are safe to share
-between threads.
+between threads.  Misuse raises ValueError; a coefficient that is not an int
+raises TypeError, and an index past the precision raises IndexError.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-__all__ = [
-    "Series",
-    "SeriesError",
-    "NonUnitConstantTerm",
-    "NonUnitLeadingCoefficient",
-    "ValuationMismatch",
-    "ZeroDivisor",
-]
-
-
-class SeriesError(ValueError):
-    """Base class for series arithmetic errors."""
-
-
-class NonUnitConstantTerm(SeriesError):
-    """inverse() needs a constant term of +1 or -1 to stay in the integers."""
-
-
-class NonUnitLeadingCoefficient(SeriesError):
-    """Division needs a divisor whose lowest nonzero coefficient is +1 or -1."""
-
-
-class ValuationMismatch(SeriesError):
-    """Division would produce negative powers of q."""
-
-
-class ZeroDivisor(SeriesError):
-    """Division by a series that is zero to its precision."""
+__all__ = ["Series"]
 
 
 def _mul_lists(a: tuple, b: tuple, n: int) -> list:
@@ -235,11 +209,11 @@ class Series:
         """Multiplicative inverse to precision.
 
         The constant term must be +1 or -1 so the inverse has integer
-        coefficients; anything else raises NonUnitConstantTerm.
+        coefficients; anything else raises ValueError.
         """
         if self.prec == 0 or self.coeffs[0] not in (1, -1):
             head = self.coeffs[0] if self.prec else "unknown"
-            raise NonUnitConstantTerm(f"constant term must be +1 or -1, got {head}")
+            raise ValueError(f"constant term must be +1 or -1, got {head}")
         return Series._make(tuple(_inverse(self.coeffs)))
 
     def __truediv__(self, other) -> "Series":
@@ -247,9 +221,9 @@ class Series:
             return NotImplemented
         v = other.valuation()
         if v is None:
-            raise ZeroDivisor("divisor is zero to its precision")
+            raise ValueError("divisor is zero to its precision")
         if other.coeffs[v] not in (1, -1):
-            raise NonUnitLeadingCoefficient(
+            raise ValueError(
                 f"divisor's lowest coefficient must be +1 or -1, got {other.coeffs[v]} at q^{v}"
             )
         va = self.valuation()
@@ -257,7 +231,7 @@ class Series:
             # zero numerator: quotient is zero to the shared precision
             return Series.zero(max(min(self.prec, other.prec) - v, 0))
         if va < v:
-            raise ValuationMismatch(
+            raise ValueError(
                 f"numerator valuation {va} is below divisor valuation {v}"
             )
         n = min(self.prec, other.prec) - v

@@ -52,6 +52,35 @@ MUTANTS = [
         'f"Series([{head}, ...], prec={self.prec})"',
         (T_SERIES,),
     ),
+    # the checks of inverse() and `/`; the tests pin each message
+    (SERIES, "self.prec == 0 or ", "", (T_SERIES, T_CHECKS)),
+    (
+        SERIES,
+        "self.coeffs[0] not in (1, -1)",
+        "self.coeffs[0] not in (1, -1, 2)",
+        (T_SERIES, T_CHECKS),
+    ),
+    (
+        SERIES,
+        "other.coeffs[v] not in (1, -1)",
+        "other.coeffs[v] not in (1, -1, 2)",
+        (T_SERIES, T_CHECKS),
+    ),
+    (SERIES, "if v is None:", "if v is None and False:", (T_SERIES, T_CHECKS)),
+    (SERIES, "if va < v:", "if va < v - 1:", (T_SERIES, T_CHECKS)),
+    (SERIES, "if va is None:", "if va is None and False:", (T_SERIES, T_CHECKS)),
+    (
+        SERIES,
+        "max(min(self.prec, other.prec) - v, 0)",
+        "min(self.prec, other.prec)",
+        (T_SERIES, T_CHECKS),
+    ),
+    (
+        SERIES,
+        'raise ValueError("divisor is zero to its precision")',
+        'raise TypeError("divisor is zero to its precision")',
+        (T_SERIES, T_CHECKS),
+    ),
     # the product forms and the sum forms
     (PRODUCTS, "for k in range(t, prec, t):", "for k in range(t + 1, prec, t):", (T_PRODUCTS,)),
     (
@@ -71,6 +100,10 @@ MUTANTS = [
         "max(64, 2 * (hit.prec if hit is not None else 0))",
         (T_CATALOG,),
     ),
+    # a smaller build never replaces a larger cache entry, and a cached
+    # coefficient is read without a build
+    (CATALOG, "if hit is None or hit.prec < out.prec:", "if True:", (T_CATALOG,)),
+    (CATALOG, "if hit is not None and hit.prec > n:", "if False:", (T_CATALOG,)),
     (CLI, "except catalog.PrecisionTooLarge as exc:", "except ZeroDivisionError as exc:", (T_CLI,)),
     (
         CLI,

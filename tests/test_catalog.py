@@ -5,7 +5,8 @@ import threading
 import pytest
 
 import oracle
-from qser import catalog, products
+import qser
+from qser import catalog, products, series
 from qser.products import ProductSpec, expand_product
 from qser.series import Series
 
@@ -249,3 +250,40 @@ def test_concurrent_builds_agree():
     assert results[2] == results[3]
     assert results[0] == catalog.build("A", 120)
     assert results[4] * results[5] == Series.one(120)
+
+
+def test_precision_too_large_is_the_only_exception_class():
+    # the CLI turns PrecisionTooLarge into exit 2; every other misuse raises
+    # ValueError, or TypeError for a coefficient that is not an int
+    exported = [getattr(qser, name) for name in qser.__all__]
+    errors = [v for v in exported if isinstance(v, type) and issubclass(v, BaseException)]
+    assert errors == [catalog.PrecisionTooLarge]
+    assert series.__all__ == ["Series"]
+
+
+def test_smaller_build_never_shrinks_the_cache(monkeypatch):
+    # a build of R at 200 finishes while the outer build at 50 is still
+    # computing, as a concurrent caller's would; the outer result must not
+    # replace the larger entry
+    real = catalog._compute
+    calls = []
+
+    def compute(key, prec):
+        calls.append((key, prec))
+        if (key, prec) == ("R", 50):
+            catalog.build("R", 200)
+        return real(key, prec)
+
+    monkeypatch.setattr(catalog, "_compute", compute)
+    assert catalog.build("R", 50) == real("R", 50)
+    calls.clear()
+    assert catalog.build("R", 200) == real("R", 200)
+    assert calls == []
+
+
+def test_cached_coefficient_reads_compute_nothing(monkeypatch):
+    want = catalog.coefficient("A", 100)
+    monkeypatch.setattr(catalog, "_compute", _refuse_to_compute)
+    assert catalog.coefficient("A", 100) == want
+    assert catalog.coefficient("A", 0) == 1
+    assert catalog.coefficient("A", 7) == A_PREFIX[7]

@@ -6,14 +6,7 @@ import pytest
 
 import oracle
 from qser.products import euler_f, theta
-from qser.series import (
-    NonUnitConstantTerm,
-    NonUnitLeadingCoefficient,
-    Series,
-    ValuationMismatch,
-    ZeroDivisor,
-    _mul_lists,
-)
+from qser.series import Series, _mul_lists
 
 
 def rand_series(rng, prec, lo=-9, hi=9):
@@ -275,11 +268,11 @@ def test_inverse_of_one_minus_q_is_geometric():
 
 
 def test_inverse_requires_unit_constant_term():
-    with pytest.raises(NonUnitConstantTerm):
+    with pytest.raises(ValueError, match=r"^constant term must be \+1 or -1, got 2$"):
         Series([2, 1]).inverse()
-    with pytest.raises(NonUnitConstantTerm):
+    with pytest.raises(ValueError, match=r"^constant term must be \+1 or -1, got 0$"):
         Series([0, 1]).inverse()
-    with pytest.raises(NonUnitConstantTerm):
+    with pytest.raises(ValueError, match=r"^constant term must be \+1 or -1, got unknown$"):
         Series([]).inverse()
 
 
@@ -353,11 +346,15 @@ def test_division_zero_numerator():
 
 
 def test_division_errors():
-    with pytest.raises(ZeroDivisor):
+    with pytest.raises(ValueError, match=r"^divisor is zero to its precision$"):
         Series([1, 1]) / Series([0, 0])
-    with pytest.raises(NonUnitLeadingCoefficient):
+    with pytest.raises(
+        ValueError, match=r"^divisor's lowest coefficient must be \+1 or -1, got 2 at q\^0$"
+    ):
         Series([1, 1]) / Series([2, 1])
-    with pytest.raises(ValuationMismatch):
+    with pytest.raises(
+        ValueError, match=r"^numerator valuation 0 is below divisor valuation 1$"
+    ):
         Series([1, 1]) / Series([0, 1])
 
 
