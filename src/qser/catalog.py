@@ -59,9 +59,9 @@ ALIASES = {
 }
 
 # The precision ceiling: four times the deepest scans (n = 25,000, or
-# conjecture13 to n_max = 5,000 at 5*n_max + 2).  A cold build of A took
-# 32 s and 57 MB at 25,001 and 183 s and 133 MB at 50,001 (CPython 3.11,
-# 2-vCPU Xeon); cost grows faster than n**2, so 10**8 would never finish.
+# conjecture13 to n_max = 5,000 at 5*n_max + 2).  A cold build of A in a
+# fresh process took 37 s and 51 MB at 25,001 (commit ad530fd, 2-vCPU Xeon,
+# CPython 3.11.7); cost grows faster than n**2, so 10**8 would never finish.
 MAX_PREC = 100_000
 
 

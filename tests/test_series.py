@@ -352,9 +352,7 @@ def test_division_errors():
         ValueError, match=r"^divisor's lowest coefficient must be \+1 or -1, got 2 at q\^0$"
     ):
         Series([1, 1]) / Series([2, 1])
-    with pytest.raises(
-        ValueError, match=r"^numerator valuation 0 is below divisor valuation 1$"
-    ):
+    with pytest.raises(ValueError, match=r"^numerator valuation 0 is below divisor valuation 1$"):
         Series([1, 1]) / Series([0, 1])
 
 
