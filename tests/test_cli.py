@@ -235,6 +235,40 @@ def test_scan_conjecture13_unexpected_outcome(capsys, monkeypatch, fmt):
     assert err == ""
 
 
+# the A and B claims replaced by the residues of thm2 and thm3, which hold,
+# so no claim breaks: verified, yet not the paper's outcome
+_VERIFIED_OUT = {
+    "table": (
+        "conjecture13-A  verified  order=10\n"
+        "conjecture13-B  verified  order=10\n"
+        "conjecture13-D  verified  order=11\n"
+        "conjecture13    UNEXPECTED OUTCOME: A=[] B=[] D=[]\n"
+    ),
+    "csv": (
+        "subject,order_checked,status,index,value,expected\n"
+        "conjecture13-A,10,verified,,,\n"
+        "conjecture13-B,10,verified,,,\n"
+        "conjecture13-D,11,verified,,,\n"
+    ),
+    "json": (
+        '{"subject":"conjecture13","order_checked":2,"status":"verified",'
+        '"first_divergence":null,"violations":[],'
+        '"falsified_at":{"A":[],"B":[],"D":[]}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_VERIFIED_OUT))
+def test_scan_conjecture13_no_claim_breaks(capsys, monkeypatch, fmt):
+    pos = checks.Sign.POS
+    monkeypatch.setattr(checks, "CONJ13_A", checks.SignPattern(5, {1: pos}, conjecture=True))
+    monkeypatch.setattr(checks, "CONJ13_B", checks.SignPattern(5, {2: pos}, conjecture=True))
+    code, out, err = run(capsys, "scan", "conjecture13", "--n-max", "2", "--format", fmt)
+    assert code == 1
+    assert out == _VERIFIED_OUT[fmt]
+    assert err == ""
+
+
 def test_scan_asymptotic_streams(capsys):
     code, out, err = run(capsys, "scan", "asymptotic-c", "--n-max", "150", "--format", "json")
     assert code == 0
