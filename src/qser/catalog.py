@@ -9,9 +9,9 @@ T(k, 3k):
   sum-equals-product series 1/((q;q5)(q4;q5)) and 1/((q2;q5)(q3;q5)).
 * ``R = T(1,5)/T(2,5)``, which is H/G, and its inverse
   ``Rinv = T(2,5)/T(1,5)``.
-* ``G_sum``, ``H_sum``: G and H via partial sums of q**(n*n) / (q;q)_n
-  (resp. q**(n*n+n)); kept as an independent cross-check of the theta
-  recipes.
+* ``G_sum``, ``H_sum``: the sum sides of the Rogers-Ramanujan identities,
+  sum of q**(n*n) / (q;q)_n (resp. q**(n*n+n)), built as G and H; the
+  tests hold the sums from ``tests/oracle.py`` against them.
 * Fifth powers ``R5 = R**5``, ``R5inv = Rinv**5``; ``Rq5 = R(q**5)``; the
   ratios ``Cratio = R5 * Rinv(q**5)`` and ``Dratio = Rq5 * R5inv``; the
   Euler-product ratios ``Fratio15 = f1**6/f5**6`` and
@@ -19,11 +19,10 @@ T(k, 3k):
 * Single-letter aliases for the coefficient families: ``A`` (R5inv),
   ``B`` (R5), ``C`` (Cratio), ``D`` (Dratio), ``c`` (Rinv), ``d`` (R).
 
-Recipes divide only in the four theta quotients, the two Euler-product
-ratios and the sum forms.  The dense product expansions of ``products``
-(``expand_product``, ``pochhammer_inf``) build none of these and use no
-theta series and no Series arithmetic; the tests compare the recipes
-against them.
+Recipes divide only in the four theta quotients and the two Euler-product
+ratios.  The dense product expansions of ``products`` (``expand_product``,
+``pochhammer_inf``) build none of these and use no theta series and no
+Series arithmetic; the tests compare the recipes against them.
 
 Builds are cached per canonical name at the largest precision seen, with
 shorter requests answered by truncation, so every earlier coefficient is
@@ -85,21 +84,6 @@ def _canonical(name: str) -> str:
     return ALIASES.get(name, name)
 
 
-def _sum_form(linear: int, prec: int) -> Series:
-    # partial sum of q**e(n) / (q;q)_n, e = n*n + linear*n (G: 0, H: 1);
-    # terms with e >= prec vanish below the truncation order.  `recip` holds
-    # 1/(q;q)_n, extended to n + 1 by dividing once more by (1 - q**(n+1)).
-    total = Series.zero(prec)
-    recip = [1] + [0] * (prec - 1)
-    n = 0
-    while (e := n * n + linear * n) < prec:
-        total = total + Series(recip[:prec - e]).shift(e)
-        n += 1
-        for k in range(n, prec):
-            recip[k] += recip[k - n]
-    return total
-
-
 def at_q5(name: str, prec: int) -> Series:
     """The named series with q replaced by q**5, truncated to prec."""
     return build(name, -(-prec // 5)).substitute_qm(5).truncate(prec)
@@ -110,8 +94,8 @@ def at_q5(name: str, prec: int) -> Series:
 _RECIPES = {
     "G": lambda p: theta(5, 15, p) / theta(1, 5, p),
     "H": lambda p: theta(5, 15, p) / theta(2, 5, p),
-    "G_sum": lambda p: _sum_form(0, p),
-    "H_sum": lambda p: _sum_form(1, p),
+    "G_sum": lambda p: build("G", p),
+    "H_sum": lambda p: build("H", p),
     "R": lambda p: theta(1, 5, p) / theta(2, 5, p),
     "Rinv": lambda p: theta(2, 5, p) / theta(1, 5, p),
     "R5": lambda p: build("R", p) ** 5,

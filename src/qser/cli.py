@@ -153,11 +153,10 @@ def cmd_scan(args) -> int:
         parts = checks.check_conjecture13(args.n_max)
         reports = list(parts.values())
         falsified = {k: list(r.falsified_at or ()) for k, r in parts.items()}
-        falsified_any = any(r.status is checks.Status.FALSIFIED for r in reports)
         doc = {
             "subject": "conjecture13",
             "order_checked": args.n_max,
-            "status": "falsified" if falsified_any else "verified",
+            "status": "falsified" if any(falsified.values()) else "verified",
             "first_divergence": None,
             "violations": [
                 {**v, "series": k}

@@ -133,10 +133,6 @@ class Series:
     def __iter__(self) -> Iterator[int]:
         return iter(self.coeffs)
 
-    def is_zero(self) -> bool:
-        """True if every known coefficient is zero."""
-        return not any(self.coeffs)
-
     def valuation(self) -> int | None:
         """Index of the lowest nonzero coefficient, or None if zero to prec."""
         for i, v in enumerate(self.coeffs):

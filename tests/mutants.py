@@ -22,6 +22,7 @@ CHECKS = "src/qser/checks.py"
 CLI = "src/qser/cli.py"
 PRODUCTS = "src/qser/products.py"
 SERIES = "src/qser/series.py"
+ORACLE = "tests/oracle.py"
 
 T_CATALOG = "tests/test_catalog.py"
 T_CHECKS = "tests/test_checks.py"
@@ -81,7 +82,7 @@ MUTANTS = [
         'raise TypeError("divisor is zero to its precision")',
         (T_SERIES, T_CHECKS),
     ),
-    # the product forms and the sum forms
+    # the product forms, the oracle's sum forms and the recipes that equal them
     (PRODUCTS, "for k in range(t, prec, t):", "for k in range(t + 1, prec, t):", (T_PRODUCTS,)),
     (
         PRODUCTS,
@@ -91,7 +92,19 @@ MUTANTS = [
     ),
     (PRODUCTS, "for _ in range(abs(e)):", "for _ in range(1):", (T_PRODUCTS,)),
     (PRODUCTS, "zip(c[t:], c)", "zip(c[t:], c[1:])", (T_PRODUCTS,)),
-    (CATALOG, "for k in range(n, prec):", "for k in range(n + 1, prec):", (T_CATALOG,)),
+    (ORACLE, "for i in range(k, n):", "for i in range(k + 1, n):", (T_CATALOG,)),
+    (
+        CATALOG,
+        '"G_sum": lambda p: build("G", p),',
+        '"G_sum": lambda p: build("H", p),',
+        (T_CATALOG,),
+    ),
+    (
+        CATALOG,
+        '"H_sum": lambda p: build("H", p),',
+        '"H_sum": lambda p: build("G", p),',
+        (T_CATALOG,),
+    ),
     # the precision ceiling and the cache growth
     (CATALOG, "if prec > MAX_PREC:", "if prec > 10 * MAX_PREC:", (T_CATALOG, T_CLI)),
     (
@@ -105,6 +118,7 @@ MUTANTS = [
     (CATALOG, "if hit is None or hit.prec < out.prec:", "if True:", (T_CATALOG,)),
     (CATALOG, "if hit is not None and hit.prec > n:", "if False:", (T_CATALOG,)),
     (CLI, "except catalog.PrecisionTooLarge as exc:", "except ZeroDivisionError as exc:", (T_CLI,)),
+    (CLI, "        sys.stdout.flush()\n", "", (T_CLI,)),
     (
         CLI,
         'first = sorted(targets, key=lambda t: not t.startswith("dissect-"))',
@@ -161,6 +175,12 @@ MUTANTS = [
         (T_CLI,),
     ),
     (CLI, '{**v, "series": k}', "{**v}", (T_CLI,)),
+    (
+        CLI,
+        '"falsified" if any(falsified.values()) else "verified"',
+        '"falsified" if True else "verified"',
+        (T_CLI,),
+    ),
     (
         CLI,
         'line += f"  falsified_at={list(r.falsified_at)}"',

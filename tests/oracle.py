@@ -72,6 +72,24 @@ def subst(a, m, n):
     return out
 
 
+def rr_sum(linear, n):
+    """Sum of q^(k*k + linear*k) / (q;q)_k over k, first n terms.
+
+    linear = 0 gives the sum side of G, linear = 1 that of H. `recip` holds
+    1/(q;q)_k, extended to k + 1 by dividing once more by (1 - q^(k+1)).
+    """
+    out = [0] * n
+    recip = one(n)
+    k = 0
+    while (e := k * k + linear * k) < n:
+        for i in range(e, n):
+            out[i] += recip[i - e]
+        k += 1
+        for i in range(k, n):
+            recip[i] += recip[i - k]
+    return out
+
+
 def rr_d(n):
     """Coefficients of (q;q5)(q4;q5)/[(q2;q5)(q3;q5)]."""
     num = mul(poch(1, 5, n), poch(4, 5, n), n)

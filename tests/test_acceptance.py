@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 
+import oracle
 import qser
 from qser import catalog, checks
 from qser.products import euler_f, pochhammer_inf
@@ -106,9 +107,11 @@ def test_criterion_6_conjecture13_reproduction(capsys):
 
 
 def test_criterion_7_oracle_equivalences(capsys):
-    sum_ok = (
-        catalog.build("G_sum", 200) == catalog.build("G", 200)
-        and catalog.build("H_sum", 200) == catalog.build("H", 200)
+    sum_ok = all(
+        oracle.rr_sum(linear, 200)
+        == list(catalog.build(name + "_sum", 200))
+        == list(catalog.build(name, 200))
+        for linear, name in ((0, "G"), (1, "H"))
     )
     pent_ok = euler_f(1, 500) == pochhammer_inf(1, 1, 500)
     report_line(capsys, sum_ok and pent_ok, 7,

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from qser import catalog
 
 DIGESTS = Path(__file__).with_name("build_digests.json")
@@ -24,13 +25,16 @@ SIZES = (1, 31, 32, 33, 64, 224, 300, 1000, 1504)
 NAMES = tuple(catalog._RECIPES)
 
 
+def digest(coeffs) -> str:
+    return hashlib.sha256("".join(f"{v}\n" for v in coeffs).encode()).hexdigest()
+
+
 def cold_digests(name: str) -> dict:
     """Digest of the named series at each size, each built from a cold cache."""
     out = {}
     for n in SIZES:
         catalog.clear_cache()
-        text = "".join(f"{v}\n" for v in catalog.build(name, n))
-        out[str(n)] = hashlib.sha256(text.encode()).hexdigest()
+        out[str(n)] = digest(catalog.build(name, n))
     catalog.clear_cache()
     return out
 
@@ -46,6 +50,13 @@ def test_digests_cover_every_canonical_name():
 @pytest.mark.parametrize("name", NAMES)
 def test_cold_build_matches_frozen_digest(name):
     assert cold_digests(name) == _DOC[name]
+
+
+@pytest.mark.parametrize("linear,name", [(0, "G"), (1, "H")])
+def test_oracle_sums_match_frozen_digest(linear, name):
+    # the sum sides of the Rogers-Ramanujan identities, summed with no engine
+    # code, equal the frozen theta recipes at every size
+    assert {str(n): digest(oracle.rr_sum(linear, n)) for n in SIZES} == _DOC[name]
 
 
 if __name__ == "__main__":

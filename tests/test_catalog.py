@@ -90,13 +90,20 @@ def test_families_match_oracle():
 
 
 def test_sum_forms_equal_product_forms():
-    assert catalog.build("G_sum", 200) == catalog.build("G", 200)
-    assert catalog.build("H_sum", 200) == catalog.build("H", 200)
+    # the Rogers-Ramanujan identities: the oracle's sums, the sum-form names
+    # and the theta recipes of G and H agree
+    for linear, name in ((0, "G"), (1, "H")):
+        want = oracle.rr_sum(linear, 200)
+        assert list(catalog.build(name + "_sum", 200)) == want, name
+        assert list(catalog.build(name, 200)) == want, name
 
 
 def test_sum_form_small_prefixes():
-    assert list(catalog.build("G_sum", 1)) == [1]
-    assert list(catalog.build("H_sum", 2)) == [1, 0]
+    for linear, name, want in ((0, "G", [1]), (1, "H", [1, 0])):
+        n = len(want)
+        assert oracle.rr_sum(linear, n) == want, name
+        assert list(catalog.build(name + "_sum", n)) == want, name
+        assert list(catalog.build(name, n)) == want, name
 
 
 @pytest.mark.parametrize("a,b", [("R", "Rinv"), ("R5", "R5inv"), ("Cratio", "Dratio")])

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, stream separation, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -374,3 +375,24 @@ def test_broken_pipe_dies_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in err
+
+
+def test_broken_pipe_with_buffered_stdout():
+    # the reader is gone before the child starts and stdout is block
+    # buffered, so nothing reaches the pipe until main flushes it; without
+    # that flush the interpreter's exit flush fails and exits 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qser", "expand", "d", "--order", "5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
