@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import qser
 from qser import catalog, checks
 from qser.cli import main
 
@@ -361,6 +362,13 @@ def test_non_integer_order_is_usage_error(capsys):
     assert "invalid int value" in err
 
 
+def _child_env():
+    # the child imports the same qser as this process, installed or not
+    src = os.path.dirname(os.path.dirname(qser.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_broken_pipe_dies_quietly():
     # 4000 table rows overflow a 64 KiB pipe buffer, so the writer hits
     # EPIPE once the reader hangs up early, exactly like piping into head.
@@ -368,6 +376,7 @@ def test_broken_pipe_dies_quietly():
         [sys.executable, "-m", "qser", "expand", "d", "--order", "4000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=_child_env(),
     )
     proc.stdout.read(64)
     proc.stdout.close()
@@ -383,7 +392,8 @@ def test_broken_pipe_with_buffered_stdout():
     # that flush the interpreter's exit flush fails and exits 120
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "qser", "expand", "d", "--order", "5"],
