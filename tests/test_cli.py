@@ -281,6 +281,69 @@ def test_scan_asymptotic_streams(capsys):
     assert "checked" in err  # diagnostics stay on stderr
 
 
+def _printed_violations(fmt, out):
+    # (subject or "", index) of each violation printed, in print order
+    if fmt == "json":
+        doc = json.loads(out)
+        return [(v.get("series", ""), v["index"]) for v in doc["violations"]]
+    if fmt == "csv":
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        return [(row[0], int(row[3])) for row in rows if row[3]]
+    found, subject = [], None
+    for line in out.splitlines():
+        if line.startswith("    n="):
+            found.append((subject, int(line.split()[0][2:])))
+        else:
+            subject = line.split()[0]
+    return found
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_scan_conjecture13_prints_at_most_twenty_violations(capsys, monkeypatch, fmt):
+    # the A claim turned to A(5n) > 0 breaks at every period from 1 to 40
+    monkeypatch.setattr(checks, "CONJ13_A", checks.SignPattern(5, {0: checks.Sign.POS}, conjecture=True))
+    code, out, err = run(capsys, "scan", "conjecture13", "--n-max", "40", "--format", fmt)
+    assert code == 1
+    assert err == ""
+    a = {"table": "conjecture13-A", "csv": "conjecture13-A", "json": "A"}[fmt]
+    b = {"table": "conjecture13-B", "csv": "conjecture13-B", "json": "B"}[fmt]
+    assert _printed_violations(fmt, out) == [(a, 5 * n) for n in range(1, 21)] + [(b, 0)]
+    if fmt == "json":
+        assert json.loads(out)["falsified_at"]["A"] == list(range(1, 41))
+    elif fmt == "table":
+        assert f"falsified_at={list(range(1, 41))}" in out.splitlines()[0]
+        assert out.endswith(f"UNEXPECTED OUTCOME: A={list(range(1, 41))} B=[0] D=[]\n")
+
+
+def _c_with_every_sign_flipped(monkeypatch):
+    # c(n) negated at every index, and c(100) set to 0
+    real_build = catalog.build
+
+    def build(name, prec):
+        series = real_build(name, prec)
+        if name != "c":
+            return series
+        coeffs = [-v for v in series]
+        coeffs[100] = 0
+        return qser.Series(coeffs)
+
+    monkeypatch.setattr(catalog, "build", build)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_scan_asymptotic_prints_at_most_twenty_violations(capsys, monkeypatch, fmt):
+    _c_with_every_sign_flipped(monkeypatch)
+    code, out, err = run(capsys, "scan", "asymptotic-c", "--n-max", "400", "--format", fmt)
+    assert code == 1
+    assert err == "qser: asymptotic-c checked 301 indices, 0 sign agreements\n"
+    subject = "" if fmt == "json" else "asymptotic-c"
+    assert _printed_violations(fmt, out) == [(subject, n) for n in range(100, 120)]
+    if fmt == "json":
+        assert '"checked":301,"agreements":0}' in out
+    elif fmt == "table":
+        assert out.endswith("asymptotic-c    checked=301 agreements=0\n")
+
+
 def test_scan_unknown_target(capsys):
     code, out, err = run(capsys, "scan", "thm6")
     assert code == 2
