@@ -5,9 +5,9 @@ built series; there is no tolerance anywhere. Sign scans test each
 coefficient against a periodic pattern of strict signs, with finitely many
 enumerated exception indices that carry exact expected values instead.
 
-A scan over a pattern flagged ``conjecture=True`` reports violations as a
-falsification (the indices where the claimed pattern breaks) rather than as
-an error in this package.
+Every report lists all the violations its scan found. The conjecture 13
+scan marks a broken claim FALSIFIED, with the pattern periods where it
+breaks, rather than as an error in this package.
 
 The one numeric routine, ``asymptotic_c``, evaluates a closed-form main
 term in double precision; it is compared with exact coefficients only
@@ -17,7 +17,7 @@ through signs, never through equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import catalog
@@ -31,8 +31,6 @@ __all__ = [
     "Violation",
     "SignPattern",
     "Report",
-    "AsymptoticScan",
-    "MAX_VIOLATIONS",
     "RICHMOND_C",
     "RICHMOND_D",
     "THM2_A",
@@ -50,12 +48,9 @@ __all__ = [
     "scan_signs",
     "check_conjecture13",
     "asymptotic_c",
+    "asymptotic_range",
     "scan_asymptotic",
 ]
-
-# Reports keep at most this many violations; falsification indices are
-# still computed from the full set before capping.
-MAX_VIOLATIONS = 20
 
 ASYMPTOTIC_N_MIN = 100
 ASYMPTOTIC_MIN_AGREEMENT = 0.99
@@ -113,7 +108,6 @@ class SignPattern:
     modulus: int
     expected: dict
     exceptions: dict = field(default_factory=dict)
-    conjecture: bool = False
 
     def __post_init__(self):
         if self.modulus < 1:
@@ -154,9 +148,9 @@ THM5_D = SignPattern(5, {0: N, 2: P, 3: P, 4: N}, {0: 1})
 
 # the claimed-for-all-n patterns, and the paper's outcome: the periods where
 # each claim breaks (n = 0 for A and B; the D claim holds)
-CONJ13_A = SignPattern(5, {0: N}, conjecture=True)
-CONJ13_B = SignPattern(5, {0: N}, conjecture=True)
-CONJ13_D = SignPattern(5, {1: P}, conjecture=True)
+CONJ13_A = SignPattern(5, {0: N})
+CONJ13_B = SignPattern(5, {0: N})
+CONJ13_D = SignPattern(5, {1: P})
 CONJ13_FALSIFIED_AT = {"A": [0], "B": [0], "D": []}
 
 del P, N
@@ -307,9 +301,7 @@ def scan_signs(
 
     Exception indices are compared with their exact recorded values; all
     other indices must match the strict sign for their residue class. A
-    conjecture pattern that fails comes back FALSIFIED with the sorted list
-    of pattern periods (index div modulus) where it broke; a plain pattern
-    that fails comes back VIOLATED.
+    failed scan comes back VIOLATED with every violation found.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -327,35 +319,32 @@ def scan_signs(
         want = pattern.expected.get(n % pattern.modulus)
         if want is not None and _sign_of(value) is not want:
             violations.append(Violation(n, value, want))
-    if not violations:
-        return Report(subject, n_max, Status.VERIFIED)
-    if pattern.conjecture:
-        falsified = tuple(sorted({v.index // pattern.modulus for v in violations}))
-        return Report(
-            subject,
-            n_max,
-            Status.FALSIFIED,
-            violations=tuple(violations[:MAX_VIOLATIONS]),
-            falsified_at=falsified,
-        )
-    return Report(subject, n_max, Status.VIOLATED, violations=tuple(violations[:MAX_VIOLATIONS]))
+    status = Status.VIOLATED if violations else Status.VERIFIED
+    return Report(subject, n_max, status, violations=tuple(violations))
+
+
+def _scan_claim(name: str, pattern: SignPattern, n_max: int) -> Report:
+    report = scan_signs(name, pattern, n_max, subject=f"conjecture13-{name}")
+    periods = tuple(sorted({v.index // pattern.modulus for v in report.violations}))
+    return replace(report, status=Status.FALSIFIED, falsified_at=periods) if periods else report
 
 
 def check_conjecture13(n_max: int) -> dict[str, Report]:
     """Scan the all-n sign claims for A(5n), B(5n), D(5n+1) up to n_max.
 
     Returns the three reports keyed by the series scanned, in the order A,
-    B, D. n_max counts pattern periods: the A and B scans cover
-    coefficients up to 5*n_max, the D scan up to 5*n_max + 1.
+    B, D; a broken claim is FALSIFIED at the periods (index div modulus) of
+    all its violations. n_max counts pattern periods: the A and B scans
+    cover coefficients up to 5*n_max, the D scan up to 5*n_max + 1.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     # B first builds R to 5*n_max + 1; D then needs R only to n_max + 1 (for
     # R(q**5)) and builds R5inv to 5*n_max + 2, which A reads as a prefix.
     # Any other order computes R or R5inv twice.
-    b = scan_signs("B", CONJ13_B, 5 * n_max, subject="conjecture13-B")
-    d = scan_signs("D", CONJ13_D, 5 * n_max + 1, subject="conjecture13-D")
-    a = scan_signs("A", CONJ13_A, 5 * n_max, subject="conjecture13-A")
+    b = _scan_claim("B", CONJ13_B, 5 * n_max)
+    d = _scan_claim("D", CONJ13_D, 5 * n_max + 1)
+    a = _scan_claim("A", CONJ13_A, 5 * n_max)
     return {"A": a, "B": b, "D": d}
 
 
@@ -376,18 +365,14 @@ def asymptotic_c(n: int) -> float:
     return amplitude * growth * math.cos((2.0 * math.pi / 5.0) * (n - 0.4))
 
 
-@dataclass(frozen=True)
-class AsymptoticScan:
-    """Sign agreement between exact c(n) and its asymptotic main term."""
-
-    report: Report
-    checked: int
-    agreements: int
+def asymptotic_range(n_max: int) -> range:
+    """The indices that scan_asymptotic(n_max) checks."""
+    return range(ASYMPTOTIC_N_MIN, n_max + 1)
 
 
-def scan_asymptotic(n_max: int) -> AsymptoticScan:
-    """Compare sign(asymptotic_c(n)) with sign(c(n)) over
-    [ASYMPTOTIC_N_MIN, n_max].
+def scan_asymptotic(n_max: int) -> Report:
+    """Compare sign(asymptotic_c(n)) with sign(c(n)) for each n in
+    asymptotic_range(n_max).
 
     The cosine factor depends only on n mod 5 and is at least 0.18 in
     absolute value, so every index in the range is checked. VERIFIED means
@@ -397,19 +382,14 @@ def scan_asymptotic(n_max: int) -> AsymptoticScan:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     series = catalog.build("c", n_max + 1)
+    indices = asymptotic_range(n_max)
     violations = []
-    for n in range(ASYMPTOTIC_N_MIN, n_max + 1):
+    for n in indices:
         exact = series[n]
         predicted = asymptotic_c(n)
         if (exact > 0) != (predicted > 0) or exact == 0:
             violations.append(Violation(n, exact, _sign_of(1 if predicted > 0 else -1)))
-    checked = max(n_max + 1 - ASYMPTOTIC_N_MIN, 0)
-    agreements = checked - len(violations)
-    ok = checked == 0 or agreements / checked >= ASYMPTOTIC_MIN_AGREEMENT
-    report = Report(
-        "asymptotic-c",
-        n_max,
-        Status.VERIFIED if ok else Status.VIOLATED,
-        violations=tuple(violations[:MAX_VIOLATIONS]),
-    )
-    return AsymptoticScan(report, checked, agreements)
+    agreements = len(indices) - len(violations)
+    ok = not indices or agreements / len(indices) >= ASYMPTOTIC_MIN_AGREEMENT
+    status = Status.VERIFIED if ok else Status.VIOLATED
+    return Report("asymptotic-c", n_max, status, violations=tuple(violations))

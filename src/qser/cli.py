@@ -5,11 +5,11 @@
     qser scan <target>   [--n-max N] [--format table|csv|json]
 
 Exit codes: 0 when the expectation was met, 1 when a mathematical mismatch
-was found, 2 on usage errors and on requests past ``catalog.MAX_PREC``
-coefficients. stdout carries data only and is byte-identical across
-identical invocations; diagnostics go to stderr. JSON documents are single
-compact lines with every coefficient value rendered as a decimal string, so
-no consumer ever rounds a big integer.
+was found or the reader of stdout hung up, 2 on usage errors and on
+requests past ``catalog.MAX_PREC`` coefficients. stdout carries data only
+and is byte-identical across identical runs; diagnostics go to stderr. JSON
+documents are single compact lines with every coefficient as a decimal
+string, so no consumer ever rounds a big integer.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ __all__ = ["main", "VERIFY_TARGETS", "SCAN_TARGETS", "FORMATS"]
 VERIFY_TARGETS = tuple(checks.VERIFY_CHECKS)
 SCAN_TARGETS = (*checks.SIGN_SCANS, "conjecture13", "asymptotic-c")
 FORMATS = ("table", "csv", "json")
+
+# each report prints at most this many of its violations
+MAX_VIOLATIONS = 20
 
 
 def _usage_error(message: str) -> int:
@@ -52,7 +55,7 @@ def _report_dict(report: checks.Report) -> dict:
         "first_divergence": divergence,
         "violations": [
             {"index": v.index, "value": str(v.value), "expected": v.expected.value}
-            for v in report.violations
+            for v in report.violations[:MAX_VIOLATIONS]
         ],
     }
 
@@ -71,7 +74,7 @@ def _print_reports(fmt, reports, doc, csv_tail, width, extras=()) -> None:
         for r in reports:
             d = r.first_divergence
             rows = [(d.index, d.lhs, d.rhs)] if d is not None else [
-                (v.index, v.value, v.expected.value) for v in r.violations
+                (v.index, v.value, v.expected.value) for v in r.violations[:MAX_VIOLATIONS]
             ]
             for row in rows or [("", "", "")]:
                 print(",".join(map(str, (r.subject, r.order_checked, r.status.value, *row))))
@@ -84,7 +87,7 @@ def _print_reports(fmt, reports, doc, csv_tail, width, extras=()) -> None:
             if r.falsified_at is not None:
                 line += f"  falsified_at={list(r.falsified_at)}"
             print(line)
-            for v in r.violations:
+            for v in r.violations[:MAX_VIOLATIONS]:
                 print(f"    n={v.index} value={v.value} expected={v.expected.value}")
         for line in extras:
             print(line)
@@ -170,16 +173,17 @@ def cmd_scan(args) -> int:
         periods = " ".join(f"{k}={v}" for k, v in falsified.items())
         extras.append(f"conjecture13    {summary}: {periods}")
     elif args.target == "asymptotic-c":
-        scan = checks.scan_asymptotic(args.n_max)
+        report = checks.scan_asymptotic(args.n_max)
+        checked = len(checks.asymptotic_range(args.n_max))
+        agreements = checked - len(report.violations)
         print(
-            f"qser: asymptotic-c checked {scan.checked} indices, "
-            f"{scan.agreements} sign agreements",
+            f"qser: asymptotic-c checked {checked} indices, {agreements} sign agreements",
             file=sys.stderr,
         )
-        reports = [scan.report]
-        doc = {**_report_dict(scan.report), "checked": scan.checked, "agreements": scan.agreements}
-        ok = scan.report.ok()
-        extras.append(f"asymptotic-c    checked={scan.checked} agreements={scan.agreements}")
+        reports = [report]
+        doc = {**_report_dict(report), "checked": checked, "agreements": agreements}
+        ok = report.ok()
+        extras.append(f"asymptotic-c    checked={checked} agreements={agreements}")
     else:
         name, pattern = checks.SIGN_SCANS[args.target]
         reports = [checks.scan_signs(name, pattern, args.n_max, subject=args.target)]
@@ -223,11 +227,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse exits after --help and on usage errors
+            code = exc.code if isinstance(exc.code, int) else 2
+        else:
+            code = args.func(args)
         sys.stdout.flush()
     except catalog.PrecisionTooLarge as exc:
         return _usage_error(str(exc))

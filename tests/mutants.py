@@ -156,6 +156,20 @@ MUTANTS = [
     ),
     # sign scans and the conjecture13 outcome
     (CHECKS, "want is not None", "want is None", (T_CHECKS,)),
+    # scans keep every violation; a broken claim is FALSIFIED at all its periods
+    (
+        CHECKS,
+        "return Report(subject, n_max, status, violations=tuple(violations))",
+        "return Report(subject, n_max, status, violations=tuple(violations[:20]))",
+        (T_CHECKS,),
+    ),
+    (
+        CHECKS,
+        "falsified_at=periods) if periods else report",
+        "falsified_at=periods) if False else report",
+        (T_CHECKS,),
+    ),
+    (CHECKS, "v.index // pattern.modulus", "v.index // (pattern.modulus + 1)", (T_CHECKS,)),
     (
         CHECKS,
         'return {"A": a, "B": b, "D": d}',
@@ -194,26 +208,43 @@ MUTANTS = [
         (T_CLI,),
     ),
     (CLI, '"divergence_index,lhs,rhs", 12)', '"divergence_index,lhs,rhs", 15)', (T_GOLDEN,)),
+    # the CLI caps what each report prints, in json, csv and table
+    (CLI, "for v in report.violations[:MAX_VIOLATIONS]", "for v in report.violations", (T_CLI,)),
+    (
+        CLI,
+        "(v.index, v.value, v.expected.value) for v in r.violations[:MAX_VIOLATIONS]",
+        "(v.index, v.value, v.expected.value) for v in r.violations",
+        (T_CLI,),
+    ),
+    (CLI, "for v in r.violations[:MAX_VIOLATIONS]:", "for v in r.violations:", (T_CLI,)),
+    # help text reaches a closed pipe through the same flush as any output
+    (
+        CLI,
+        "            code = exc.code if isinstance(exc.code, int) else 2\n",
+        "            return exc.code if isinstance(exc.code, int) else 2\n",
+        (T_CLI,),
+    ),
     # the asymptotic cross-check
     (
         CHECKS,
-        "agreements / checked >= ASYMPTOTIC_MIN_AGREEMENT",
-        "agreements / checked > ASYMPTOTIC_MIN_AGREEMENT",
+        "agreements / len(indices) >= ASYMPTOTIC_MIN_AGREEMENT",
+        "agreements / len(indices) > ASYMPTOTIC_MIN_AGREEMENT",
         (T_CHECKS,),
     ),
     (CHECKS, "(predicted > 0) or exact == 0:", "(predicted > 0):", (T_CHECKS,)),
     (
-        CHECKS,
-        "checked = max(n_max + 1 - ASYMPTOTIC_N_MIN, 0)",
-        "checked = max(n_max - ASYMPTOTIC_N_MIN, 0)",
-        (T_CHECKS,),
+        CLI,
+        "checked = len(checks.asymptotic_range(args.n_max))",
+        "checked = args.n_max - checks.ASYMPTOTIC_N_MIN",
+        (T_CLI,),
     ),
+    (CHECKS, "range(ASYMPTOTIC_N_MIN, n_max + 1)", "range(ASYMPTOTIC_N_MIN, n_max)", (T_CHECKS,)),
     (CHECKS, "_sign_of(1 if predicted > 0 else -1)", "_sign_of(exact)", (T_CHECKS,)),
     (CHECKS, "growth = math.inf", "growth = 0.0", (T_CHECKS,)),
     (
         CHECKS,
-        "else Status.VIOLATED,\n        violations=tuple(violations[:MAX_VIOLATIONS])",
-        "else Status.VIOLATED,\n        violations=tuple(violations)",
+        'return Report("asymptotic-c", n_max, status, violations=tuple(violations))',
+        'return Report("asymptotic-c", n_max, status, violations=tuple(violations[:20]))',
         (T_CHECKS,),
     ),
 ]

@@ -234,12 +234,20 @@ def test_scan_validation():
         checks.SignPattern(5, {5: checks.Sign.POS})
 
 
-def test_violations_capped_but_falsification_periods_complete():
-    always_wrong = checks.SignPattern(5, {0: checks.Sign.NEG}, conjecture=True)
+def test_violations_capped_but_falsification_periods_complete(monkeypatch):
+    # reports keep every violation; only the CLI caps what it prints
+    always_wrong = checks.SignPattern(5, {0: checks.Sign.NEG})
     report = checks.scan_signs("c", always_wrong, 150)
-    assert report.status is checks.Status.FALSIFIED
-    assert len(report.violations) == checks.MAX_VIOLATIONS
-    assert report.falsified_at == tuple(range(31))
+    assert report.status is checks.Status.VIOLATED
+    assert [v.index for v in report.violations] == list(range(0, 151, 5))
+    assert report.falsified_at is None
+    # the A claim turned to A(5n) > 0 breaks at every period from 1 on
+    monkeypatch.setattr(checks, "CONJ13_A", checks.SignPattern(5, {0: checks.Sign.POS}))
+    parts = checks.check_conjecture13(30)
+    assert parts["A"].status is checks.Status.FALSIFIED
+    assert [v.index for v in parts["A"].violations] == list(range(5, 151, 5))
+    assert parts["A"].falsified_at == tuple(range(1, 31))
+    assert parts["B"].falsified_at == (0,)
 
 
 def test_report_invariant():
@@ -327,11 +335,10 @@ def test_asymptotic_signs_match_exact_coefficients():
 
 
 def test_asymptotic_scan_agreement():
-    scan = checks.scan_asymptotic(400)
-    assert scan.report.ok()
-    assert scan.checked > 200
-    assert scan.agreements == scan.checked
-    assert scan.report.violations == ()
+    report = checks.scan_asymptotic(400)
+    assert report.ok()
+    assert checks.asymptotic_range(400) == range(100, 401)
+    assert report.violations == ()
 
 
 def _c_with_bad_signs(monkeypatch, flipped, zero):
@@ -360,12 +367,13 @@ def test_asymptotic_scan_lists_disagreements_at_the_agreement_floor(
     monkeypatch, n_max, flipped, status
 ):
     c = _c_with_bad_signs(monkeypatch, set(flipped), 152)
-    scan = checks.scan_asymptotic(n_max)
-    assert scan.checked == n_max - 99
-    assert scan.agreements == scan.checked - len(flipped) - 1
-    assert scan.report.status is status
+    report = checks.scan_asymptotic(n_max)
+    checked = len(checks.asymptotic_range(n_max))
+    assert checked == n_max - 99
+    assert checked - len(report.violations) == checked - len(flipped) - 1
+    assert report.status is status
     sign = {True: checks.Sign.POS, False: checks.Sign.NEG}
-    assert scan.report.violations == tuple(
+    assert report.violations == tuple(
         checks.Violation(n, 0 if n == 152 else -c[n], sign[c[n] > 0])
         for n in sorted((*flipped, 152))
     )
@@ -373,12 +381,13 @@ def test_asymptotic_scan_lists_disagreements_at_the_agreement_floor(
 
 def test_asymptotic_scan_caps_violations(monkeypatch):
     _c_with_bad_signs(monkeypatch, set(range(401)), 100)
-    scan = checks.scan_asymptotic(400)
-    assert scan.checked == 301
-    assert scan.agreements == 0
-    assert scan.report.status is checks.Status.VIOLATED
-    assert len(scan.report.violations) == checks.MAX_VIOLATIONS
-    assert [v.index for v in scan.report.violations] == list(range(100, 120))
+    report = checks.scan_asymptotic(400)
+    checked = len(checks.asymptotic_range(400))
+    assert checked == 301
+    assert checked - len(report.violations) == 0
+    assert report.status is checks.Status.VIOLATED
+    # every disagreement is listed; only the CLI caps what it prints
+    assert [v.index for v in report.violations] == list(range(100, 401))
 
 
 def test_asymptotic_main_term_overflows_to_a_signed_infinity():
@@ -388,11 +397,10 @@ def test_asymptotic_main_term_overflows_to_a_signed_infinity():
 
 
 def test_asymptotic_scan_empty_range_is_verified():
-    scan = checks.scan_asymptotic(50)  # below the sampling floor of 100
-    assert scan.checked == 0
-    assert scan.agreements == 0
-    assert scan.report.ok()
-    assert scan.report.violations == ()
+    report = checks.scan_asymptotic(50)  # below the sampling floor of 100
+    assert len(checks.asymptotic_range(50)) == 0
+    assert report.ok()
+    assert report.violations == ()
 
 
 def test_scan_toolkit_reachable_from_package_root():
@@ -400,6 +408,6 @@ def test_scan_toolkit_reachable_from_package_root():
 
     assert qser.RICHMOND_C is checks.RICHMOND_C
     assert qser.CONJ13_D is checks.CONJ13_D
-    assert qser.AsymptoticScan is checks.AsymptoticScan
+    assert qser.asymptotic_range is checks.asymptotic_range
     report = qser.scan_signs("d", qser.RICHMOND_D, 30)
     assert report.ok()

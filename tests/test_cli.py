@@ -11,6 +11,8 @@ import qser
 from qser import catalog, checks
 from qser.cli import main
 
+from test_checks import _c_with_bad_signs
+
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
@@ -229,7 +231,7 @@ _UNEXPECTED_OUT = {
 
 @pytest.mark.parametrize("fmt", sorted(_UNEXPECTED_OUT))
 def test_scan_conjecture13_unexpected_outcome(capsys, monkeypatch, fmt):
-    wrong_d = checks.SignPattern(5, {1: checks.Sign.NEG}, conjecture=True)
+    wrong_d = checks.SignPattern(5, {1: checks.Sign.NEG})
     monkeypatch.setattr(checks, "CONJ13_D", wrong_d)
     code, out, err = run(capsys, "scan", "conjecture13", "--n-max", "2", "--format", fmt)
     assert code == 1
@@ -263,8 +265,8 @@ _VERIFIED_OUT = {
 @pytest.mark.parametrize("fmt", sorted(_VERIFIED_OUT))
 def test_scan_conjecture13_no_claim_breaks(capsys, monkeypatch, fmt):
     pos = checks.Sign.POS
-    monkeypatch.setattr(checks, "CONJ13_A", checks.SignPattern(5, {1: pos}, conjecture=True))
-    monkeypatch.setattr(checks, "CONJ13_B", checks.SignPattern(5, {2: pos}, conjecture=True))
+    monkeypatch.setattr(checks, "CONJ13_A", checks.SignPattern(5, {1: pos}))
+    monkeypatch.setattr(checks, "CONJ13_B", checks.SignPattern(5, {2: pos}))
     code, out, err = run(capsys, "scan", "conjecture13", "--n-max", "2", "--format", fmt)
     assert code == 1
     assert out == _VERIFIED_OUT[fmt]
@@ -301,7 +303,7 @@ def _printed_violations(fmt, out):
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_scan_conjecture13_prints_at_most_twenty_violations(capsys, monkeypatch, fmt):
     # the A claim turned to A(5n) > 0 breaks at every period from 1 to 40
-    monkeypatch.setattr(checks, "CONJ13_A", checks.SignPattern(5, {0: checks.Sign.POS}, conjecture=True))
+    monkeypatch.setattr(checks, "CONJ13_A", checks.SignPattern(5, {0: checks.Sign.POS}))
     code, out, err = run(capsys, "scan", "conjecture13", "--n-max", "40", "--format", fmt)
     assert code == 1
     assert err == ""
@@ -315,24 +317,9 @@ def test_scan_conjecture13_prints_at_most_twenty_violations(capsys, monkeypatch,
         assert out.endswith(f"UNEXPECTED OUTCOME: A={list(range(1, 41))} B=[0] D=[]\n")
 
 
-def _c_with_every_sign_flipped(monkeypatch):
-    # c(n) negated at every index, and c(100) set to 0
-    real_build = catalog.build
-
-    def build(name, prec):
-        series = real_build(name, prec)
-        if name != "c":
-            return series
-        coeffs = [-v for v in series]
-        coeffs[100] = 0
-        return qser.Series(coeffs)
-
-    monkeypatch.setattr(catalog, "build", build)
-
-
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_scan_asymptotic_prints_at_most_twenty_violations(capsys, monkeypatch, fmt):
-    _c_with_every_sign_flipped(monkeypatch)
+    _c_with_bad_signs(monkeypatch, set(range(401)), 100)
     code, out, err = run(capsys, "scan", "asymptotic-c", "--n-max", "400", "--format", fmt)
     assert code == 1
     assert err == "qser: asymptotic-c checked 301 indices, 0 sign agreements\n"
@@ -452,20 +439,21 @@ def test_broken_pipe_dies_quietly():
 def test_broken_pipe_with_buffered_stdout():
     # the reader is gone before the child starts and stdout is block
     # buffered, so nothing reaches the pipe until main flushes it; without
-    # that flush the interpreter's exit flush fails and exits 120
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    # that flush the interpreter's exit flush fails and exits 120. Help
+    # text, printed while the arguments are parsed, takes the same flush.
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "qser", "expand", "d", "--order", "5"],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=env,
-            timeout=120,
-        )
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 1
-    assert proc.stderr == b""
+    for argv in (["expand", "d", "--order", "5"], ["--help"], ["scan", "--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qser", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (argv, proc.returncode, proc.stderr) == (argv, 1, b"")
