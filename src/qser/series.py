@@ -14,44 +14,53 @@ raises TypeError, and an index past the precision raises IndexError.
 
 from __future__ import annotations
 
+from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from typing import Iterable, Iterator
 
 __all__ = ["Series"]
 
+# Exact integer arithmetic on any number of digits: an operation that would
+# round raises instead.  The C module is imported by name: the pure-Python
+# fallback converts ints through str, which CPython refuses past 4,300 digits.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+
 
 def _mul_lists(a: tuple, b: tuple, n: int) -> list:
     """Truncated product of coefficient sequences, first n terms."""
-    # Kronecker substitution: pack each operand as sum(coeff[i] * 2**(8*w*i))
-    # with w wide enough that the product's digits never overlap, multiply
-    # once, then read the signed digits back out of the byte string.  Each
-    # digit is stored as coeff + half, so the bytes hold no negative digit,
-    # and the packed bias sum(half * 2**(8*w*i)) is then subtracted as one
-    # integer.  Exact for any integer coefficients.
+    # Kronecker substitution in base 10: pack each operand as
+    # sum(coeff[i] * 10**(w*i)) with w digits per coefficient, multiply once
+    # in libmpdec (a number-theoretic transform on large operands, where
+    # CPython's ints use Karatsuba), then read the signed digits back out of
+    # the decimal string.  Each digit is stored as coeff + half, so the string
+    # holds no negative digit, and the packed bias sum(half * 10**(w*i)) is
+    # then subtracted as one number.  No product coefficient exceeds
+    # m = n * amax * bmax in absolute value, and w is the digit count of 2 * m,
+    # so every coeff + half lies in [0, 10**w) and digits never overlap.
+    # Digits pass between ints and strings through Decimal, which has no
+    # limit on their length.  Exact for any integer coefficients.
+    if not n:
+        return []  # Decimal("") is no number
     a = a[:n]
     b = b[:n]
     amax = max(map(abs, a), default=0)
     bmax = max(map(abs, b), default=0)
-    bits = amax.bit_length() + bmax.bit_length() + n.bit_length() + 1
-    w = (bits + 7) // 8
-    half = 1 << (8 * w - 1)
-    bias = bytes(w - 1) + b"\x80"  # the digit `half`, little-endian
-    from_bytes = int.from_bytes
+    w = len(str(Decimal(2 * max(amax, 1) * max(bmax, 1) * n)))
+    half = 5 * 10 ** (w - 1)
+    bias = "5" + "0" * (w - 1)  # the digit `half`
 
-    def pack(values: tuple) -> int:
-        buf = bytearray(bias * len(values))
-        for off, v in zip(range(0, len(buf), w), values):
-            if v:
-                buf[off:off + w] = (v + half).to_bytes(w, "little")
-        return from_bytes(buf, "little") - from_bytes(bias * len(values), "little")
+    def pack(values: tuple) -> Decimal:
+        digits = "".join([str(Decimal(v + half)) for v in reversed(values)])
+        return _EXACT.subtract(Decimal(digits), Decimal(bias * len(values)))
 
+    pa = pack(a)
+    pb = pa if b is a else pack(b)  # one operand twice: libmpdec squares it
     # adding the bias back at every digit of the 2n-digit product makes it
-    # nonnegative with digits in [0, 2**(8w)), so no borrows cross digit
-    # boundaries
+    # nonnegative with digits in [0, 10**w), so no borrows cross digit
+    # boundaries; its top digit is `half`, so it has exactly 2 * n * w digits
     ndigits = 2 * n
-    raw = (pack(a) * pack(b) + from_bytes(bias * ndigits, "little")).to_bytes(
-        ndigits * w, "little"
-    )
-    return [from_bytes(raw[o:o + w], "little") - half for o in range(0, n * w, w)]
+    raw = str(_EXACT.add(_EXACT.multiply(pa, pb), Decimal(bias * ndigits)))
+    low = [raw[o - w:o] for o in range(len(raw), len(raw) - n * w, -w)]
+    return [v - half for v in map(int, map(Decimal, low))]
 
 
 def _inverse(a: tuple) -> list:

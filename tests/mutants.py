@@ -34,16 +34,25 @@ T_SERIES = "tests/test_series.py"
 # (path, old text, new text, test files); each old text occurs exactly once
 # in its file
 MUTANTS = [
-    # the multiply's pack and the division recurrence
-    (SERIES, "w = (bits + 7) // 8", "w = (bits - 1) // 8", (T_SERIES,)),
-    (SERIES, "w = (bits + 7) // 8", "w = max(1, (bits - 1) // 8)", (T_SERIES,)),
+    # the multiply's decimal pack and the division recurrence
+    (
+        SERIES,
+        "len(str(Decimal(2 * max(amax, 1)",
+        "len(str(Decimal(max(amax, 1)",
+        (T_SERIES,),
+    ),
     (SERIES, "ndigits = 2 * n", "ndigits = n", (T_SERIES,)),
     (
         SERIES,
-        "raw = (pack(a) * pack(b) +",
-        'raw = (pack(a) * (pack(b) + from_bytes(bias * len(b), "little")) +',
+        "_EXACT.multiply(pa, pb)",
+        "_EXACT.multiply(pa, _EXACT.add(pb, Decimal(bias * len(b))))",
         (T_SERIES,),
     ),
+    (SERIES, "Decimal(2 * max(amax, 1)", "Decimal(2 * amax", (T_SERIES,)),
+    (SERIES, "pb = pa if b is a else pack(b)", "pb = pa", (T_SERIES,)),
+    (SERIES, "from _decimal import", "from decimal import", (T_SERIES,)),
+    (SERIES, "str(Decimal(v + half))", "str(v + half)", (T_SERIES,)),
+    (SERIES, "map(int, map(Decimal, low))", "map(int, low)", (T_SERIES,)),
     (SERIES, "if i > k:", "if i >= k:", (T_SERIES,)),
     (SERIES, "(i, -a0 * v)", "(i, -v)", (T_SERIES,)),
     (SERIES, "return self + -other", "return self + other", (T_SERIES,)),

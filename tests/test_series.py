@@ -1,10 +1,14 @@
 """Series arithmetic: exactness, precision propagation, and error paths."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import oracle
+import qser
 from qser.products import euler_f, theta
 from qser.series import Series, _mul_lists
 
@@ -176,7 +180,7 @@ def test_mul_against_oracle():
         assert list(Series(a) * Series(b)) == oracle.mul(a, b, n)
     # every pair of operand shapes at sizes around 32, 64 and 224 and beyond:
     # the one-sign huge shape fills the digit width nearly to its top, so a
-    # digit one byte short overlaps its neighbour
+    # digit one decimal place short overlaps its neighbour
     shapes = {  # sparsest first: the oracle skips the zero terms of its first operand
         "zero": lambda n: [0] * n,
         "one term": lambda n: list(Series.monomial(rng.choice((-3, 1)), rng.randrange(n), n)) if n else [],
@@ -194,6 +198,12 @@ def test_mul_against_oracle():
             for y in names[i:]:
                 a, b = shapes[x](n), shapes[y](n)
                 assert list(Series(a) * Series(b)) == oracle.mul(a, b, n), (x, y, n)
+    # past CPython's 4,300-digit limit on int/str conversion: one digit of
+    # these products has more than 4,300 decimal digits
+    for n in (0, 1, 2, 64):
+        a = [rng.randint(-(10**2500), 10**2500) for _ in range(n)]
+        b = [-rng.randint(10**2499, 10**2500) for _ in range(n)]
+        assert list(Series(a) * Series(b)) == oracle.mul(a, b, n), n
 
 
 def test_oracle_returns_n_terms():
@@ -224,6 +234,31 @@ def test_kronecker_handles_sparse_and_negative():
     a = tuple([0] * 63 + [-(10**30)])
     b = tuple([7] + [0] * 62 + [10**30])
     assert _mul_lists(a, b, 64) == oracle.mul(a, b, 64)
+
+
+def test_import_needs_the_c_decimal_module():
+    # the pure-Python decimal fallback converts ints through str and fails
+    # past 4,300 digits, so qser refuses it at import, not in a multiply
+    src = os.path.dirname(os.path.dirname(qser.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = (
+        "import sys, traceback\n"
+        "sys.modules['_decimal'] = None\n"
+        "try:\n"
+        "    import qser\n"
+        "except ImportError as exc:\n"
+        "    traceback.print_exc()\n"
+        "    print(exc.name)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "_decimal\n")
+    assert "_mul_lists" not in proc.stderr and "__mul__" not in proc.stderr
 
 
 def test_mul_zero_operand():
