@@ -53,14 +53,18 @@ def _mul_lists(a: tuple, b: tuple, n: int) -> list:
         return _EXACT.subtract(Decimal(digits), Decimal(bias * len(values)))
 
     pa = pack(a)
-    pb = pa if b is a else pack(b)  # one operand twice: libmpdec squares it
-    # adding the bias back at every digit of the 2n-digit product makes it
-    # nonnegative with digits in [0, 10**w), so no borrows cross digit
-    # boundaries; its top digit is `half`, so it has exactly 2 * n * w digits
-    ndigits = 2 * n
-    raw = str(_EXACT.add(_EXACT.multiply(pa, pb), Decimal(bias * ndigits)))
-    low = [raw[o - w:o] for o in range(len(raw), len(raw) - n * w, -w)]
-    return [v - half for v in map(int, map(Decimal, low))]
+    # the same Decimal on both sides lets libmpdec square it
+    prod = _EXACT.multiply(pa, pa if b is a else pack(b))
+    # Only the low n of the product's 2n digits are read.  Adding the bias
+    # at those n digits, and 10**(2nw) above the top one, leaves them as if
+    # the bias were added at every digit: each is coeff + half, with no
+    # borrow across digit boundaries.  The sum is nonnegative, so a shift by
+    # 0 in precision n * w keeps exactly those n digits.
+    top = Decimal("1E%d" % (2 * n * w))
+    biased = _EXACT.add(_EXACT.add(prod, Decimal(bias * n)), top)
+    raw = str(Context(prec=n * w, Emax=MAX_EMAX).shift(biased, 0)).zfill(n * w)
+    digits = map(Decimal, (raw[o - w:o] for o in range(n * w, 0, -w)))
+    return [v - half for v in map(int, digits)]
 
 
 def _inverse(a: tuple) -> list:

@@ -41,18 +41,19 @@ MUTANTS = [
         "len(str(Decimal(max(amax, 1)",
         (T_SERIES,),
     ),
-    (SERIES, "ndigits = 2 * n", "ndigits = n", (T_SERIES,)),
+    (SERIES, '"1E%d" % (2 * n * w)', '"1E%d" % (n * w)', (T_SERIES,)),
     (
         SERIES,
-        "_EXACT.multiply(pa, pb)",
-        "_EXACT.multiply(pa, _EXACT.add(pb, Decimal(bias * len(b))))",
+        "pa if b is a else pack(b))",
+        "pa if b is a else _EXACT.add(pack(b), Decimal(bias * len(b))))",
         (T_SERIES,),
     ),
     (SERIES, "Decimal(2 * max(amax, 1)", "Decimal(2 * amax", (T_SERIES,)),
-    (SERIES, "pb = pa if b is a else pack(b)", "pb = pa", (T_SERIES,)),
+    (SERIES, "pa if b is a else pack(b))", "pa)", (T_SERIES,)),
+    (SERIES, ".zfill(n * w)", "", (T_SERIES,)),
     (SERIES, "from _decimal import", "from decimal import", (T_SERIES,)),
     (SERIES, "str(Decimal(v + half))", "str(v + half)", (T_SERIES,)),
-    (SERIES, "map(int, map(Decimal, low))", "map(int, low)", (T_SERIES,)),
+    (SERIES, "map(Decimal, (raw", "map(str, (raw", (T_SERIES,)),
     (SERIES, "if i > k:", "if i >= k:", (T_SERIES,)),
     (SERIES, "(i, -a0 * v)", "(i, -v)", (T_SERIES,)),
     (SERIES, "return self + -other", "return self + other", (T_SERIES,)),
