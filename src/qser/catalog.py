@@ -59,8 +59,9 @@ ALIASES = {
 
 # The precision ceiling: four times the deepest scans (n = 25,000, or
 # conjecture13 to n_max = 5,000 at 5*n_max + 2).  A cold build of A in a
-# fresh process took 37 s and 51 MB at 25,001 (commit ad530fd, 2-vCPU Xeon,
-# CPython 3.11.7); cost grows faster than n**2, so 10**8 would never finish.
+# fresh process took 4.5 s and 57 MB at 25,001, and of Fratio51, whose dense
+# division grows about as n**2, 28 s and 71 MB at 20,000 (2-vCPU Xeon,
+# CPython 3.11.7, libmpdec 2.5.1), so 10**8 would never finish.
 MAX_PREC = 100_000
 
 
