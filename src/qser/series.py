@@ -3,6 +3,8 @@
 A :class:`Series` stores the first ``prec`` coefficients of a power series;
 index ``n`` holds the coefficient of ``q**n``.  Coefficients are plain Python
 ints, so every operation is exact; there is no floating-point path anywhere.
+Multiplication runs through the C ``decimal`` module as exact integer
+arithmetic, in a context that raises on any rounding.
 ``prec`` is the number of *known* coefficients: everything from ``q**prec``
 up is unknown, and arithmetic propagates precision conservatively
 (min of the operands, adjusted by shifts and dissections).

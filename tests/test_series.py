@@ -238,8 +238,8 @@ def test_kronecker_handles_sparse_and_negative():
 
 def test_mul_digit_with_leading_zero():
     # coefficient 1 reaches -n * amax * bmax = -4410, the most negative value
-    # of its 4-digit width, so it is stored as 0590 and the product's string
-    # starts with a zero that str() drops
+    # of its 4-digit width, so it is stored as 0590, and the string of the
+    # product's low digits starts with a zero that str() drops
     a, b = (45, 45), (-49, -49)
     assert _mul_lists(a, b, 2) == oracle.mul(a, b, 2) == [-2205, -4410]
 
