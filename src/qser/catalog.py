@@ -14,15 +14,17 @@ T(k, 3k):
   tests hold the sums from ``tests/oracle.py`` against them.
 * Fifth powers ``R5 = R**5``, ``R5inv = Rinv**5``; ``Rq5 = R(q**5)``; the
   ratios ``Cratio = R5 * Rinv(q**5)`` and ``Dratio = Rq5 * R5inv``; the
-  Euler-product ratios ``Fratio15 = f1**6/f5**6`` and
-  ``Fratio51 = f5**6/f1**6``.
+  Euler-product ratios ``Fratio15 = (f1/f5)**6`` and
+  ``Fratio51 = (f5/f1)**6``.
 * Single-letter aliases for the coefficient families: ``A`` (R5inv),
   ``B`` (R5), ``C`` (Cratio), ``D`` (Dratio), ``c`` (Rinv), ``d`` (R).
 
-Recipes divide only in the four theta quotients and the two Euler-product
-ratios.  The dense product expansions of ``products`` (``expand_product``,
-``pochhammer_inf``) build none of these and use no theta series and no
-Series arithmetic; the tests compare the recipes against them.
+Every division is by one sparse theta series: T(1,5) or T(2,5) in the
+four theta quotients, f5 or f1 in the two Euler-product ratios, so each
+costs O(n) per nonzero divisor term.  The dense product expansions of
+``products`` (``expand_product``, ``pochhammer_inf``) build none of these
+and use no theta series and no Series arithmetic; the tests compare the
+recipes against them.
 
 Builds are cached per canonical name at the largest precision seen, with
 shorter requests answered by truncation, so every earlier coefficient is
@@ -104,10 +106,8 @@ _RECIPES = {
     "Rq5": lambda p: at_q5("R", p),
     "Cratio": lambda p: build("R5", p) * at_q5("Rinv", p),
     "Dratio": lambda p: build("Rq5", p) * build("R5inv", p),
-    # two powers, then one inverse of the denominator's; powering the
-    # quotient instead squares series with large coefficients
-    "Fratio15": lambda p: euler_f(1, p) ** 6 / euler_f(5, p) ** 6,
-    "Fratio51": lambda p: euler_f(5, p) ** 6 / euler_f(1, p) ** 6,
+    "Fratio15": lambda p: (euler_f(1, p) / euler_f(5, p)) ** 6,
+    "Fratio51": lambda p: (euler_f(5, p) / euler_f(1, p)) ** 6,
 }
 
 NAMES = (*_RECIPES, *ALIASES)

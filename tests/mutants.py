@@ -115,6 +115,26 @@ MUTANTS = [
         '"H_sum": lambda p: build("G", p),',
         (T_CATALOG,),
     ),
+    # the Euler-product ratios power one quotient of two theta series; the
+    # old recipe gives equal values but divides by a dense series
+    (
+        CATALOG,
+        '"Fratio15": lambda p: (euler_f(1, p) / euler_f(5, p)) ** 6,',
+        '"Fratio15": lambda p: euler_f(1, p) ** 6 / euler_f(5, p) ** 6,',
+        (T_CATALOG,),
+    ),
+    (
+        CATALOG,
+        '"Fratio51": lambda p: (euler_f(5, p) / euler_f(1, p)) ** 6,',
+        '"Fratio51": lambda p: euler_f(5, p) ** 6 / euler_f(1, p) ** 6,',
+        (T_CATALOG,),
+    ),
+    (
+        CATALOG,
+        "(euler_f(1, p) / euler_f(5, p)) ** 6",
+        "(euler_f(1, p) / euler_f(5, p)) ** 5",
+        (T_CATALOG,),
+    ),
     # the precision ceiling and the cache growth
     (CATALOG, "if prec > MAX_PREC:", "if prec > 10 * MAX_PREC:", (T_CATALOG, T_CLI)),
     (

@@ -1,5 +1,6 @@
 """Named series registry: recipes, aliases, cache behavior, frozen values."""
 
+import math
 import threading
 
 import pytest
@@ -130,6 +131,26 @@ def test_r_equals_its_four_factor_product_form():
         for name, spec in PRODUCT_FORMS.items():
             assert catalog.build(name, n) == expand_product(spec, n), (name, n)
         assert catalog.at_q5("Fratio51", n) == expand_product(GENFUN_BASE, n), n
+
+
+def test_every_recipe_divides_by_a_theta_series(monkeypatch):
+    # the division recurrence sums over the divisor's nonzero terms, so a
+    # dense divisor would cost O(n**2); theta(a, m) and euler_f(k) have at
+    # most 2 * isqrt(2 * prec) + 2 nonzero terms below q**prec
+    prec = 1000
+    real_inverse = Series.inverse
+    inverted = []
+
+    def spy(self):
+        inverted.append(sum(1 for v in self if v))
+        return real_inverse(self)
+
+    monkeypatch.setattr(Series, "inverse", spy)
+    for name in catalog._RECIPES:
+        catalog.clear_cache()
+        inverted.clear()
+        catalog.build(name, prec)
+        assert max(inverted, default=0) <= 2 * math.isqrt(2 * prec) + 2, (name, inverted)
 
 
 def test_product_forms_share_no_engine_code(monkeypatch):
