@@ -112,9 +112,14 @@ class SignPattern:
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        for r in self.expected:
+        for r, sign in self.expected.items():
             if not 0 <= r < self.modulus:
                 raise ValueError(f"residue {r} out of range for modulus {self.modulus}")
+            if not isinstance(sign, Sign):
+                raise TypeError(f"expected sign at residue {r} must be a Sign, got {sign!r}")
+        for i, value in self.exceptions.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"exception value at index {i} must be an exact int, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,15 @@ MUTANTS = [
     ),
     # sign scans and the conjecture13 outcome
     (CHECKS, "want is not None", "want is None", (T_CHECKS,)),
+    # a sign pattern takes only Sign members and exact int exception values
+    (CHECKS, "if not isinstance(sign, Sign):", "if False:", (T_CHECKS,)),
+    (
+        CHECKS,
+        "if not isinstance(value, int) or isinstance(value, bool):",
+        "if False:",
+        (T_CHECKS,),
+    ),
+    (CHECKS, "int) or isinstance(value, bool):", "int):", (T_CHECKS,)),
     # scans keep every violation; a broken claim is FALSIFIED at all its periods
     (
         CHECKS,

@@ -234,6 +234,18 @@ def test_scan_validation():
         checks.SignPattern(5, {5: checks.Sign.POS})
 
 
+def test_sign_pattern_rejects_values_of_the_wrong_type():
+    # a string sign compared unequal to every coefficient's Sign, so a scan
+    # reported true claims as violations
+    with pytest.raises(TypeError, match=r"^expected sign at residue 0 must be a Sign, got 'pos'$"):
+        checks.SignPattern(5, {0: "pos"})
+    for value in (True, 1.0, "0", None):
+        with pytest.raises(TypeError) as exc:
+            checks.SignPattern(5, {0: checks.Sign.POS}, {2: value})
+        assert str(exc.value) == f"exception value at index 2 must be an exact int, got {value!r}"
+    assert checks.SignPattern(5, {0: checks.Sign.ZERO}, {2: -(10**40)}).exceptions == {2: -(10**40)}
+
+
 def test_violations_capped_but_falsification_periods_complete(monkeypatch):
     # reports keep every violation; only the CLI caps what it prints
     always_wrong = checks.SignPattern(5, {0: checks.Sign.NEG})
