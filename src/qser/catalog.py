@@ -60,10 +60,10 @@ ALIASES = {
 }
 
 # The precision ceiling: four times the deepest scans (n = 25,000, or
-# conjecture13 to n_max = 5,000 at 5*n_max + 2).  A cold build of A in a
-# fresh process took 4.5 s and 57 MB at 25,001, and of Fratio51, whose dense
-# division grows about as n**2, 28 s and 71 MB at 20,000 (2-vCPU Xeon,
-# CPython 3.11.7, libmpdec 2.5.1), so 10**8 would never finish.
+# conjecture13 to n_max = 5,000 at 5*n_max + 2).  A cold build in a fresh
+# process took 4.1 s and 56 MB for A at 25,001, and for Fratio51 5 s and
+# 80 MB at 20,000 and 72 s and 656 MB at 100,000 (2-vCPU Xeon, CPython
+# 3.11.7, libmpdec 2.5.1), so 10**8 would never finish.
 MAX_PREC = 100_000
 
 

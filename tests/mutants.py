@@ -115,8 +115,9 @@ MUTANTS = [
         '"H_sum": lambda p: build("G", p),',
         (T_CATALOG,),
     ),
-    # the Euler-product ratios power one quotient of two theta series; the
-    # old recipe gives equal values but divides by a dense series
+    # the Euler-product ratios power one quotient of two theta series;
+    # dividing by a dense sixth power gives equal values, so only the
+    # sparse-divisor test kills the first two
     (
         CATALOG,
         '"Fratio15": lambda p: (euler_f(1, p) / euler_f(5, p)) ** 6,',

@@ -235,8 +235,8 @@ def test_scan_validation():
 
 
 def test_sign_pattern_rejects_values_of_the_wrong_type():
-    # a string sign compared unequal to every coefficient's Sign, so a scan
-    # reported true claims as violations
+    # a sign that is not a Sign member compares unequal to every
+    # coefficient's sign, so a scan would report a true claim as violated
     with pytest.raises(TypeError, match=r"^expected sign at residue 0 must be a Sign, got 'pos'$"):
         checks.SignPattern(5, {0: "pos"})
     for value in (True, 1.0, "0", None):
