@@ -113,11 +113,17 @@ class SignPattern:
         if self.modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
         for r, sign in self.expected.items():
+            if not isinstance(r, int) or isinstance(r, bool):
+                raise TypeError(f"residue must be an exact int, got {r!r}")
             if not 0 <= r < self.modulus:
                 raise ValueError(f"residue {r} out of range for modulus {self.modulus}")
             if not isinstance(sign, Sign):
                 raise TypeError(f"expected sign at residue {r} must be a Sign, got {sign!r}")
         for i, value in self.exceptions.items():
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise TypeError(f"exception index must be an exact int, got {i!r}")
+            if i < 0:
+                raise ValueError(f"exception index must be >= 0, got {i}")
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"exception value at index {i} must be an exact int, got {value!r}")
 

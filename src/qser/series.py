@@ -16,14 +16,17 @@ raises TypeError, and an index past the precision raises IndexError.
 
 from __future__ import annotations
 
+import sys
 from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+from itertools import accumulate
+from operator import add
 from typing import Iterable, Iterator
 
 __all__ = ["Series"]
 
 # Exact integer arithmetic on any number of digits: an operation that would
 # round raises instead.  The C module is imported by name: the pure-Python
-# fallback converts ints through str, which CPython refuses past 4,300 digits.
+# fallback converts ints through str, which CPython refuses past its digit limit.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
 
@@ -35,23 +38,30 @@ def _mul_lists(a: tuple, b: tuple, n: int) -> list:
     # CPython's ints use Karatsuba), then read the signed digits back out of
     # the decimal string.  Each digit is stored as coeff + half, so the string
     # holds no negative digit, and the packed bias sum(half * 10**(w*i)) is
-    # then subtracted as one number.  No product coefficient exceeds
-    # m = n * amax * bmax in absolute value, and w is the digit count of 2 * m,
-    # so every coeff + half lies in [0, 10**w) and digits never overlap.
-    # Digits pass between ints and strings through Decimal, which has no
-    # limit on their length.  Exact for any integer coefficients.
+    # then subtracted as one number.  Let bits = max_i(bit_length(a_i) +
+    # bhat_(n-1-i)), where bhat_j is the largest bit length of b_0..b_j.  As
+    # bhat never decreases, every |c_k| <= n * 2**bits, and the terms i = 0
+    # and n-1 bound every |a_i| and |b_i| by 2**bits.  w is the digit count
+    # of 2 * n * 2**bits, so every coeff + half lies in [0, 10**w) and digits
+    # never overlap.  Exact for any integer coefficients.  Digits cross
+    # between ints and strings through Decimal only past CPython's int/str
+    # digit limit (0, or no limit before 3.10.7, means none).
     if not n:
         return []  # Decimal("") is no number
     a = a[:n]
     b = b[:n]
-    amax = max(map(abs, a), default=0)
-    bmax = max(map(abs, b), default=0)
-    w = len(str(Decimal(2 * max(amax, 1) * max(bmax, 1) * n)))
+    bhat = list(accumulate(map(int.bit_length, b), max))
+    bits = max(map(add, map(int.bit_length, a), reversed(bhat)))
+    w = len(str(Decimal((2 * n) << bits)))
     half = 5 * 10 ** (w - 1)
     bias = "5" + "0" * (w - 1)  # the digit `half`
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < w:
+        to_str, to_int = (lambda v: str(Decimal(v))), (lambda s: int(Decimal(s)))
+    else:
+        to_str, to_int = str, int
 
     def pack(values: tuple) -> Decimal:
-        digits = "".join([str(Decimal(v + half)) for v in reversed(values)])
+        digits = "".join([to_str(v + half) for v in reversed(values)])
         return _EXACT.subtract(Decimal(digits), Decimal(bias * len(values)))
 
     pa = pack(a)
@@ -65,8 +75,7 @@ def _mul_lists(a: tuple, b: tuple, n: int) -> list:
     top = Decimal("1E%d" % (2 * n * w))
     biased = _EXACT.add(_EXACT.add(prod, Decimal(bias * n)), top)
     raw = str(Context(prec=n * w, Emax=MAX_EMAX).shift(biased, 0)).zfill(n * w)
-    digits = map(Decimal, (raw[o - w:o] for o in range(n * w, 0, -w)))
-    return [v - half for v in map(int, digits)]
+    return [to_int(raw[o - w:o]) - half for o in range(n * w, 0, -w)]
 
 
 def _inverse(a: tuple) -> list:

@@ -34,13 +34,16 @@ T_SERIES = "tests/test_series.py"
 # (path, old text, new text, test files); each old text occurs exactly once
 # in its file
 MUTANTS = [
-    # the multiply's decimal pack and the division recurrence
+    # the multiply's decimal pack, its width and its int/str conversions,
+    # and the division recurrence
+    (SERIES, "Decimal((2 * n) << bits)", "Decimal(n << bits)", (T_SERIES,)),
     (
         SERIES,
-        "len(str(Decimal(2 * max(amax, 1)",
-        "len(str(Decimal(max(amax, 1)",
+        "list(accumulate(map(int.bit_length, b), max))",
+        "list(map(int.bit_length, b))",
         (T_SERIES,),
     ),
+    (SERIES, "reversed(bhat)", "bhat", (T_SERIES,)),
     (SERIES, '"1E%d" % (2 * n * w)', '"1E%d" % (n * w)', (T_SERIES,)),
     (
         SERIES,
@@ -48,12 +51,17 @@ MUTANTS = [
         "pa if b is a else _EXACT.add(pack(b), Decimal(bias * len(b))))",
         (T_SERIES,),
     ),
-    (SERIES, "Decimal(2 * max(amax, 1)", "Decimal(2 * amax", (T_SERIES,)),
     (SERIES, "pa if b is a else pack(b))", "pa)", (T_SERIES,)),
     (SERIES, ".zfill(n * w)", "", (T_SERIES,)),
     (SERIES, "from _decimal import", "from decimal import", (T_SERIES,)),
-    (SERIES, "str(Decimal(v + half))", "str(v + half)", (T_SERIES,)),
-    (SERIES, "map(Decimal, (raw", "map(str, (raw", (T_SERIES,)),
+    (
+        SERIES,
+        'if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < w:',
+        "if False:",
+        (T_SERIES,),
+    ),
+    (SERIES, "(lambda v: str(Decimal(v)))", "str", (T_SERIES,)),
+    (SERIES, "(lambda s: int(Decimal(s)))", "int", (T_SERIES,)),
     (SERIES, "if i > k:", "if i >= k:", (T_SERIES,)),
     (SERIES, "(i, -a0 * v)", "(i, -v)", (T_SERIES,)),
     (SERIES, "return self + -other", "return self + other", (T_SERIES,)),
@@ -187,7 +195,7 @@ MUTANTS = [
     ),
     # sign scans and the conjecture13 outcome
     (CHECKS, "want is not None", "want is None", (T_CHECKS,)),
-    # a sign pattern takes only Sign members and exact int exception values
+    # a sign pattern takes only Sign members and exact int exception values,
     (CHECKS, "if not isinstance(sign, Sign):", "if False:", (T_CHECKS,)),
     (
         CHECKS,
@@ -196,6 +204,12 @@ MUTANTS = [
         (T_CHECKS,),
     ),
     (CHECKS, "int) or isinstance(value, bool):", "int):", (T_CHECKS,)),
+    # and only exact int residues and nonnegative exact int exception indices
+    (CHECKS, "if not isinstance(r, int) or isinstance(r, bool):", "if False:", (T_CHECKS,)),
+    (CHECKS, "isinstance(r, int) or isinstance(r, bool):", "isinstance(r, int):", (T_CHECKS,)),
+    (CHECKS, "if not isinstance(i, int) or isinstance(i, bool):", "if False:", (T_CHECKS,)),
+    (CHECKS, "isinstance(i, int) or isinstance(i, bool):", "isinstance(i, int):", (T_CHECKS,)),
+    (CHECKS, "if i < 0:", "if False:", (T_CHECKS,)),
     # scans keep every violation; a broken claim is FALSIFIED at all its periods
     (
         CHECKS,

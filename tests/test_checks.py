@@ -246,6 +246,21 @@ def test_sign_pattern_rejects_values_of_the_wrong_type():
     assert checks.SignPattern(5, {0: checks.Sign.ZERO}, {2: -(10**40)}).exceptions == {2: -(10**40)}
 
 
+def test_sign_pattern_rejects_keys_of_the_wrong_type():
+    # no index n has n % 5 == 0.5, so such a pattern would check nothing and
+    # verify; a key True would act as residue 1
+    for key in (0.5, True, "0", None):
+        with pytest.raises(TypeError) as exc:
+            checks.SignPattern(5, {key: checks.Sign.NEG})
+        assert str(exc.value) == f"residue must be an exact int, got {key!r}"
+        with pytest.raises(TypeError) as exc:
+            checks.SignPattern(5, {}, {key: 0})
+        assert str(exc.value) == f"exception index must be an exact int, got {key!r}"
+    with pytest.raises(ValueError, match=r"^exception index must be >= 0, got -1$"):
+        checks.SignPattern(5, {}, {-1: 0})
+    assert checks.SignPattern(5, {}, {0: 7}).exceptions == {0: 7}
+
+
 def test_violations_capped_but_falsification_periods_complete(monkeypatch):
     # reports keep every violation; only the CLI caps what it prints
     always_wrong = checks.SignPattern(5, {0: checks.Sign.NEG})

@@ -178,9 +178,7 @@ def test_mul_against_oracle():
         a = [rng.randint(-9, 9) for _ in range(n)]
         b = [rng.randint(-9, 9) for _ in range(n)]
         assert list(Series(a) * Series(b)) == oracle.mul(a, b, n)
-    # every pair of operand shapes at sizes around 32, 64 and 224 and beyond:
-    # the one-sign huge shape fills the digit width nearly to its top, so a
-    # digit one decimal place short overlaps its neighbour
+    # every pair of operand shapes at sizes around 32, 64 and 224 and beyond
     shapes = {  # sparsest first: the oracle skips the zero terms of its first operand
         "zero": lambda n: [0] * n,
         "one term": lambda n: list(Series.monomial(rng.choice((-3, 1)), rng.randrange(n), n)) if n else [],
@@ -199,7 +197,8 @@ def test_mul_against_oracle():
                 a, b = shapes[x](n), shapes[y](n)
                 assert list(Series(a) * Series(b)) == oracle.mul(a, b, n), (x, y, n)
     # past CPython's 4,300-digit limit on int/str conversion: one digit of
-    # these products has more than 4,300 decimal digits
+    # these products has more than 4,300 decimal digits, so the digits pass
+    # through Decimal
     for n in (0, 1, 2, 64):
         a = [rng.randint(-(10**2500), 10**2500) for _ in range(n)]
         b = [-rng.randint(10**2499, 10**2500) for _ in range(n)]
@@ -236,12 +235,65 @@ def test_kronecker_handles_sparse_and_negative():
     assert _mul_lists(a, b, 64) == oracle.mul(a, b, 64)
 
 
+def _bits(a, b):
+    # the multiply's width rule: its digit width w is the digit count of
+    # 2 * n * 2**bits, bits = max_i (bit_length(a_i) + max_(j <= n-1-i) bit_length(b_j))
+    n = len(a)
+    return max(a[i].bit_length() + max(v.bit_length() for v in b[: n - i]) for i in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 200])
+def test_mul_width_from_running_maxima(n):
+    rng = random.Random(n)
+    huge = 10**40 + 7
+    cases = [
+        # one huge term at n - 1 in both operands: every product term below
+        # q^n is 0, yet each operand's digit must still hold the huge term
+        ([0] * (n - 1) + [huge], [0] * (n - 1) + [-huge]),
+        ([0] * (n - 1) + [-huge], [1] + [0] * (n - 2) + [huge] if n > 1 else [huge]),
+        # and at 0 in one of them, so term n - 1 is huge**2
+        ([huge] + [0] * (n - 1), [0] * (n - 1) + [huge]),
+        # decreasing: the largest coefficients come first
+        (
+            [rng.choice((-1, 1)) * (huge >> 8 * i) for i in range(n)],
+            [rng.choice((-1, 1)) * (huge >> 8 * i) for i in range(n)],
+        ),
+    ]
+    # every coefficient 2**k - 1: the top product term is n * (2**k - 1)**2,
+    # within a factor (1 - 2**-k)**2 of the bound n * 2**bits
+    for k in (1, 7, 64, 133):
+        cases.append(([2**k - 1] * n, [2**k - 1] * n))
+        cases.append(([2**k - 1] * n, [-(2**k - 1)] * n))
+    for a, b in cases:
+        assert _mul_lists(tuple(a), tuple(b), n) == oracle.mul(a, b, n)
+
+
+def test_mul_on_both_sides_of_the_int_digit_limit():
+    # below CPython's int/str digit limit digits are converted as str and
+    # int, above it through Decimal; 640 is the lowest limit CPython accepts
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    cases = [((2**k - 1,) * n, (-(2**k - 1),) * n, n) for n in (1, 3) for k in range(1030, 1090, 2)]
+    widths = {len(str(2 * n << _bits(a, b))) for a, b, n in cases}
+    assert {639, 640, 641, 642} <= widths
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        products = [_mul_lists(a, b, n) for a, b, n in cases]
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert products == [oracle.mul(a, b, n) for a, b, n in cases]
+
+
 def test_mul_digit_with_leading_zero():
-    # coefficient 1 reaches -n * amax * bmax = -4410, the most negative value
-    # of its 4-digit width, so it is stored as 0590, and the string of the
-    # product's low digits starts with a zero that str() drops
-    a, b = (45, 45), (-49, -49)
-    assert _mul_lists(a, b, 2) == oracle.mul(a, b, 2) == [-2205, -4410]
+    # bits = 11 + 10, so w is the digit count of 2 * 2 * 2**21 = 8388608,
+    # 7; coefficient 1, -2 * 2047 * 1023 = -4188162, is stored as
+    # 0811838, and the string of the product's low digits starts with a
+    # zero that str() drops
+    a, b = (2047, 2047), (-1023, -1023)
+    assert len(str(2 * 2 << _bits(a, b))) == 7
+    assert len(str(-4188162 + 5 * 10**6)) == 6
+    assert _mul_lists(a, b, 2) == oracle.mul(a, b, 2) == [-2094081, -4188162]
 
 
 def test_import_needs_the_c_decimal_module():
