@@ -17,7 +17,7 @@ through signs, never through equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from enum import Enum
 
 from . import catalog
@@ -76,26 +76,19 @@ def _sign_of(value: int) -> Sign:
     return Sign.ZERO
 
 
-@dataclass(frozen=True)
-class Divergence:
+class Divergence(namedtuple("Divergence", "index lhs rhs")):
     """First index where two series disagree, with both exact values."""
 
-    index: int
-    lhs: int
-    rhs: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "index value expected")):
     """A coefficient that broke the expected sign (or exception value)."""
 
-    index: int
-    value: int
-    expected: Sign
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SignPattern:
+class SignPattern(namedtuple("SignPattern", "modulus expected exceptions")):
     """Periodic sign expectations by residue class, plus exact exceptions.
 
     ``expected`` maps residue mod ``modulus`` to a Sign; residues absent
@@ -105,44 +98,46 @@ class SignPattern:
     a violation: the patterns assert strict signs.
     """
 
-    modulus: int
-    expected: dict
-    exceptions: dict = field(default_factory=dict)
+    __slots__ = ()
+    # _replace calls _make, whose tuple.__new__ would skip the checks in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        for r, sign in self.expected.items():
+    def __new__(cls, modulus, expected, exceptions=None):
+        exceptions = {} if exceptions is None else exceptions
+        if not isinstance(modulus, int) or isinstance(modulus, bool):
+            raise TypeError(f"modulus must be an exact int, got {modulus!r}")
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        for r, sign in expected.items():
             if not isinstance(r, int) or isinstance(r, bool):
                 raise TypeError(f"residue must be an exact int, got {r!r}")
-            if not 0 <= r < self.modulus:
-                raise ValueError(f"residue {r} out of range for modulus {self.modulus}")
+            if not 0 <= r < modulus:
+                raise ValueError(f"residue {r} out of range for modulus {modulus}")
             if not isinstance(sign, Sign):
                 raise TypeError(f"expected sign at residue {r} must be a Sign, got {sign!r}")
-        for i, value in self.exceptions.items():
+        for i, value in exceptions.items():
             if not isinstance(i, int) or isinstance(i, bool):
                 raise TypeError(f"exception index must be an exact int, got {i!r}")
             if i < 0:
                 raise ValueError(f"exception index must be >= 0, got {i}")
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"exception value at index {i} must be an exact int, got {value!r}")
+        return super().__new__(cls, modulus, expected, exceptions)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(namedtuple("Report", "subject order_checked status first_divergence "
+                        "violations falsified_at", defaults=(None, (), None))):
     """Outcome of one identity check or sign scan."""
 
-    subject: str
-    order_checked: int
-    status: Status
-    first_divergence: Divergence | None = None
-    violations: tuple[Violation, ...] = ()
-    falsified_at: tuple[int, ...] | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.status is not Status.VERIFIED:
             if self.first_divergence is None and not self.violations:
                 raise ValueError("non-verified report needs divergence or violations")
+        return self
 
     def ok(self) -> bool:
         return self.status is Status.VERIFIED
@@ -337,7 +332,7 @@ def scan_signs(
 def _scan_claim(name: str, pattern: SignPattern, n_max: int) -> Report:
     report = scan_signs(name, pattern, n_max, subject=f"conjecture13-{name}")
     periods = tuple(sorted({v.index // pattern.modulus for v in report.violations}))
-    return replace(report, status=Status.FALSIFIED, falsified_at=periods) if periods else report
+    return report._replace(status=Status.FALSIFIED, falsified_at=periods) if periods else report
 
 
 def check_conjecture13(n_max: int) -> dict[str, Report]:

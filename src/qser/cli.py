@@ -5,11 +5,11 @@
     qser scan <target>   [--n-max N] [--format table|csv|json]
 
 Exit codes: 0 when the expectation was met, 1 when a mathematical mismatch
-was found or the reader of stdout hung up, 2 on usage errors and on
-requests past ``catalog.MAX_PREC`` coefficients. stdout carries data only
-and is byte-identical across identical runs; diagnostics go to stderr. JSON
-documents are single compact lines with every coefficient as a decimal
-string, so no consumer ever rounds a big integer.
+was found or the reader of stdout hung up, 2 on usage errors, on requests
+past ``catalog.MAX_PREC`` coefficients and on running out of memory. stdout
+carries data only and is byte-identical across identical runs; diagnostics
+go to stderr. JSON documents are single compact lines with every coefficient
+as a decimal string, so no consumer ever rounds a big integer.
 """
 
 from __future__ import annotations
@@ -41,13 +41,8 @@ def _print_json(doc) -> None:
 
 
 def _report_dict(report: checks.Report) -> dict:
-    divergence = None
-    if report.first_divergence is not None:
-        divergence = {
-            "index": report.first_divergence.index,
-            "lhs": str(report.first_divergence.lhs),
-            "rhs": str(report.first_divergence.rhs),
-        }
+    d = report.first_divergence
+    divergence = None if d is None else {"index": d.index, "lhs": str(d.lhs), "rhs": str(d.rhs)}
     return {
         "subject": report.subject,
         "order_checked": report.order_checked,
@@ -67,6 +62,10 @@ def _print_reports(fmt, reports, doc, csv_tail, width, extras=()) -> None:
     three columns named by csv_tail, or leaves them empty. A table line
     pads the subject to width; the extras lines follow the table only.
     """
+    for r in reports:
+        if len(r.violations) > MAX_VIOLATIONS:
+            total = f"{r.subject}: {len(r.violations)} violations"
+            print(f"qser: {total}, the first {MAX_VIOLATIONS} printed", file=sys.stderr)
     if fmt == "json":
         _print_json(doc)
     elif fmt == "csv":
@@ -236,6 +235,9 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except catalog.PrecisionTooLarge as exc:
         return _usage_error(str(exc))
+    except MemoryError:
+        command = " ".join(sys.argv[1:] if argv is None else argv)
+        return _usage_error(f"out of memory in {command!r} (MAX_PREC is {catalog.MAX_PREC})")
     except BrokenPipeError:
         # Reader hung up early (e.g. piped into head). Point stdout at
         # devnull so the interpreter's exit flush cannot raise again, and

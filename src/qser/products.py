@@ -18,24 +18,25 @@ integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .series import Series
 
 __all__ = ["ProductSpec", "pochhammer_inf", "theta", "euler_f", "expand_product"]
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(namedtuple("ProductSpec", "factors")):
     """A formal product of factors (q**a; q**m)_inf ** e.
 
     ``factors`` is a sequence of (a, m, e) triples with a >= 1, m >= 1 and
     e a nonzero integer.  The empty product is the constant series 1.
     """
 
-    factors: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
+    # _replace calls _make, whose tuple.__new__ would skip the checks in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __init__(self, factors=()):
+    def __new__(cls, factors=()):
         factors = tuple(tuple(f) for f in factors)
         for a, m, e in factors:
             if a < 1:
@@ -44,7 +45,7 @@ class ProductSpec:
                 raise ValueError(f"factor modulus must be >= 1, got {m}")
             if e == 0:
                 raise ValueError("factor exponent must be nonzero")
-        object.__setattr__(self, "factors", factors)
+        return super().__new__(cls, factors)
 
 
 def theta(a: int, m: int, prec: int) -> Series:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import sys
 from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+from collections.abc import Iterable, Iterator
 from itertools import accumulate
 from operator import add
-from typing import Iterable, Iterator
 
 __all__ = ["Series"]
 

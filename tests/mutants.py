@@ -157,6 +157,7 @@ MUTANTS = [
     (CATALOG, "if hit is None or hit.prec < out.prec:", "if True:", (T_CATALOG,)),
     (CATALOG, "if hit is not None and hit.prec > n:", "if False:", (T_CATALOG,)),
     (CLI, "except catalog.PrecisionTooLarge as exc:", "except ZeroDivisionError as exc:", (T_CLI,)),
+    (CLI, "except MemoryError:", "except ZeroDivisionError:", (T_CLI,)),
     (CLI, "        sys.stdout.flush()\n", "", (T_CLI,)),
     (
         CLI,
@@ -210,6 +211,33 @@ MUTANTS = [
     (CHECKS, "if not isinstance(i, int) or isinstance(i, bool):", "if False:", (T_CHECKS,)),
     (CHECKS, "isinstance(i, int) or isinstance(i, bool):", "isinstance(i, int):", (T_CHECKS,)),
     (CHECKS, "if i < 0:", "if False:", (T_CHECKS,)),
+    # and only an exact int modulus
+    (
+        CHECKS,
+        "if not isinstance(modulus, int) or isinstance(modulus, bool):",
+        "if False:",
+        (T_CHECKS,),
+    ),
+    (
+        CHECKS,
+        "isinstance(modulus, int) or isinstance(modulus, bool):",
+        "isinstance(modulus, int):",
+        (T_CHECKS,),
+    ),
+    # _replace runs each class's checks through its _make
+    (
+        CHECKS,
+        "checks in __new__\n    _make = classmethod(lambda cls, fields: cls(*fields))\n",
+        "checks in __new__\n",
+        (T_CHECKS,),
+    ),
+    (
+        CHECKS,
+        "    _make = classmethod(lambda cls, fields: cls(*fields))\n\n    def __new__(cls, *args",
+        "\n    def __new__(cls, *args",
+        (T_CHECKS,),
+    ),
+    (PRODUCTS, "    _make = classmethod(lambda cls, fields: cls(*fields))\n", "", (T_PRODUCTS,)),
     # scans keep every violation; a broken claim is FALSIFIED at all its periods
     (
         CHECKS,
@@ -271,6 +299,14 @@ MUTANTS = [
         (T_CLI,),
     ),
     (CLI, "for v in r.violations[:MAX_VIOLATIONS]:", "for v in r.violations:", (T_CLI,)),
+    # and states the total on stderr when it cuts
+    (
+        CLI,
+        'print(f"qser: {total}, the first {MAX_VIOLATIONS} printed", file=sys.stderr)',
+        "pass",
+        (T_CLI,),
+    ),
+    (CLI, "if len(r.violations) > MAX_VIOLATIONS:", "if len(r.violations) >= MAX_VIOLATIONS:", (T_CLI,)),
     # help text reaches a closed pipe through the same flush as any output
     (
         CLI,

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from qser import catalog, checks
+from qser.products import ProductSpec
 from qser.series import Series
 
 from test_catalog import C_PREFIX
@@ -259,6 +260,46 @@ def test_sign_pattern_rejects_keys_of_the_wrong_type():
     with pytest.raises(ValueError, match=r"^exception index must be >= 0, got -1$"):
         checks.SignPattern(5, {}, {-1: 0})
     assert checks.SignPattern(5, {}, {0: 7}).exceptions == {0: 7}
+
+
+def test_sign_pattern_rejects_a_modulus_of_the_wrong_type():
+    # n % 2.5 == 0 picks every fifth index, and True acts as modulus 1
+    for modulus in (2.5, True, "5", None):
+        with pytest.raises(TypeError) as exc:
+            checks.SignPattern(modulus, {0: checks.Sign.NEG})
+        assert str(exc.value) == f"modulus must be an exact int, got {modulus!r}"
+
+
+def test_sign_pattern_exceptions_default_to_a_new_dict():
+    first, second = checks.SignPattern(5, {}), checks.SignPattern(5, {})
+    assert first.exceptions == {} and first.exceptions is not second.exceptions
+
+
+def test_value_classes_are_immutable():
+    values = [
+        checks.Divergence(1, 2, 9),
+        checks.Violation(0, 1, checks.Sign.POS),
+        checks.RICHMOND_C,
+        checks.Report("x", 5, checks.Status.VERIFIED),
+        ProductSpec(((1, 5, 1),)),
+    ]
+    for value in values:
+        for field in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+
+
+def test_replace_runs_the_constructor_checks():
+    with pytest.raises(ValueError, match=r"^modulus must be >= 1, got 0$"):
+        checks.RICHMOND_C._replace(modulus=0)
+    with pytest.raises(TypeError, match=r"^expected sign at residue 0 must be a Sign, got 'pos'$"):
+        checks.RICHMOND_C._replace(expected={0: "pos"})
+    ok = checks.Report("x", 5, checks.Status.VERIFIED)
+    with pytest.raises(ValueError, match=r"^non-verified report needs divergence or violations$"):
+        ok._replace(status=checks.Status.VIOLATED)
+    assert checks.RICHMOND_C._replace(modulus=10) == checks.SignPattern(
+        10, checks.RICHMOND_C.expected, checks.RICHMOND_C.exceptions
+    )
 
 
 def test_violations_capped_but_falsification_periods_complete(monkeypatch):

@@ -306,7 +306,7 @@ def test_scan_conjecture13_prints_at_most_twenty_violations(capsys, monkeypatch,
     monkeypatch.setattr(checks, "CONJ13_A", checks.SignPattern(5, {0: checks.Sign.POS}))
     code, out, err = run(capsys, "scan", "conjecture13", "--n-max", "40", "--format", fmt)
     assert code == 1
-    assert err == ""
+    assert err == "qser: conjecture13-A: 40 violations, the first 20 printed\n"
     a = {"table": "conjecture13-A", "csv": "conjecture13-A", "json": "A"}[fmt]
     b = {"table": "conjecture13-B", "csv": "conjecture13-B", "json": "B"}[fmt]
     assert _printed_violations(fmt, out) == [(a, 5 * n) for n in range(1, 21)] + [(b, 0)]
@@ -322,13 +322,41 @@ def test_scan_asymptotic_prints_at_most_twenty_violations(capsys, monkeypatch, f
     _c_with_bad_signs(monkeypatch, set(range(401)), 100)
     code, out, err = run(capsys, "scan", "asymptotic-c", "--n-max", "400", "--format", fmt)
     assert code == 1
-    assert err == "qser: asymptotic-c checked 301 indices, 0 sign agreements\n"
+    assert err == (
+        "qser: asymptotic-c checked 301 indices, 0 sign agreements\n"
+        "qser: asymptotic-c: 301 violations, the first 20 printed\n"
+    )
     subject = "" if fmt == "json" else "asymptotic-c"
     assert _printed_violations(fmt, out) == [(subject, n) for n in range(100, 120)]
     if fmt == "json":
         assert '"checked":301,"agreements":0}' in out
     elif fmt == "table":
         assert out.endswith("asymptotic-c    checked=301 agreements=0\n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_capped_scan_states_its_total_on_stderr(capsys, monkeypatch, fmt):
+    # both residues the pattern constrains are wrong, so every n = 1, 4
+    # (mod 5) up to 300 is a violation: 120, of which 20 are printed
+    pos, neg = checks.Sign.POS, checks.Sign.NEG
+    wrong = checks.SignPattern(5, {1: neg, 4: pos})
+    monkeypatch.setitem(checks.SIGN_SCANS, "thm2", ("A", wrong))
+    code, out, err = run(capsys, "scan", "thm2", "--n-max", "300", "--format", fmt)
+    assert code == 1
+    assert err == "qser: thm2: 120 violations, the first 20 printed\n"
+    subject = "" if fmt == "json" else "thm2"
+    printed = [n for n in range(301) if n % 5 in (1, 4)][:20]
+    assert _printed_violations(fmt, out) == [(subject, n) for n in printed]
+
+
+def test_uncapped_scan_prints_nothing_on_stderr(capsys, monkeypatch):
+    # exactly at the cap every violation is printed, so no total follows
+    wrong = checks.SignPattern(5, {1: checks.Sign.NEG})
+    monkeypatch.setitem(checks.SIGN_SCANS, "thm2", ("A", wrong))
+    code, out, err = run(capsys, "scan", "thm2", "--n-max", "99", "--format", "csv")
+    assert code == 1
+    assert err == ""
+    assert len(_printed_violations("csv", out)) == 20
 
 
 def test_scan_unknown_target(capsys):
@@ -366,6 +394,20 @@ def test_precision_ceiling_is_a_usage_error(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("qser: ") and f"ceiling of {catalog.MAX_PREC}" in err
+
+
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    # a request below MAX_PREC can still exhaust memory; it ends in one
+    # line and exit 2, not in a traceback and exit 1
+    def exhaust(key, prec):
+        raise MemoryError
+
+    monkeypatch.setattr(catalog, "_compute", exhaust)
+    code, out, err = run(capsys, "expand", "Fratio51", "--order", "100000")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"qser: out of memory in 'expand Fratio51 --order 100000' (MAX_PREC is {catalog.MAX_PREC})\n"
+    )
 
 
 # -- shared behavior ---------------------------------------------------------------

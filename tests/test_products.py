@@ -143,6 +143,12 @@ def test_spec_validation():
         expand_product(ProductSpec(), -1)
 
 
+def test_spec_replace_runs_the_constructor_checks():
+    with pytest.raises(ValueError, match=r"^factor offset must be >= 1, got 0$"):
+        ProductSpec(((1, 5, 1),))._replace(factors=((0, 5, 1),))
+    assert ProductSpec(((1, 5, 1),))._replace(factors=[[2, 5, 1]]).factors == ((2, 5, 1),)
+
+
 def test_spec_accepts_any_sequence_of_triples():
     spec = ProductSpec([[1, 5, 1], (4, 5, 1)])
     assert spec.factors == ((1, 5, 1), (4, 5, 1))

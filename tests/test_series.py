@@ -321,6 +321,29 @@ def test_import_needs_the_c_decimal_module():
     assert "_mul_lists" not in proc.stderr and "__mul__" not in proc.stderr
 
 
+def test_import_loads_only_the_stdlib_modules_qser_names():
+    # under -S no .pth file can preload a module (typing, say) and hide an
+    # import of it; past the modules qser names, importing the CLI may load
+    # only __future__ and qser's own modules
+    src = os.path.dirname(os.path.dirname(qser.__file__))
+    child = (
+        "import sys\n"
+        "import argparse, json, os, math, threading, enum, collections\n"
+        "import itertools, operator, _decimal\n"
+        "floor = set(sys.modules)\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import qser.cli\n"
+        "print(*sorted(set(sys.modules) - floor))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", child], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "qser.cli" in loaded
+    assert {m for m in loaded if not m.startswith("qser.")} <= {"__future__", "qser"}
+
+
 def test_mul_zero_operand():
     for a, b in ((Series.zero(80), Series([1] * 80)), (Series([1, 2, 3]), Series.zero(0))):
         product = a * b
