@@ -61,8 +61,8 @@ ALIASES = {
 
 # The precision ceiling: four times the deepest scans (n = 25,000, or
 # conjecture13 to n_max = 5,000 at 5*n_max + 2).  Single cold builds in a
-# fresh process took 2.99 s and 47.5 MiB for A at 25,002, and for Fratio51
-# 2.88 s and 60.4 MiB at 20,000 and 46.6 s and 519 MiB at 100,000 (2-vCPU
+# fresh process took 2.81 s and 46.5 MiB for A at 25,002, and for Fratio51
+# 3.10 s and 55.5 MiB at 20,000 and 42.9 s and 514 MiB at 100,000 (2-vCPU
 # Xeon, CPython 3.11.7, libmpdec 2.5.1), so 10**8 would never finish.
 MAX_PREC = 100_000
 

@@ -54,7 +54,13 @@ def _mul_lists(a: tuple, b: tuple, n: int) -> list:
     bits = max(map(add, map(int.bit_length, a), reversed(bhat)))
     w = len(str(Decimal((2 * n) << bits)))
     half = 5 * 10 ** (w - 1)
-    bias = "5" + "0" * (w - 1)  # the digit `half`
+    # B(m) = sum(half * 10**(w*i)) over i < m, by doubling over the bits of n:
+    # B(2m) = B(m) * 10**(m*w) + B(m) and B(m+1) = B(m) * 10**w + half
+    bias, m = Decimal(0), 0
+    for bit in bin(n)[2:]:
+        bias, m = _EXACT.add(_EXACT.scaleb(bias, m * w), bias), 2 * m
+        if bit == "1":
+            bias, m = _EXACT.add(_EXACT.scaleb(bias, w), half), m + 1
     if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < w:
         to_str, to_int = (lambda v: str(Decimal(v))), (lambda s: int(Decimal(s)))
     else:
@@ -62,18 +68,20 @@ def _mul_lists(a: tuple, b: tuple, n: int) -> list:
 
     def pack(values: tuple) -> Decimal:
         digits = "".join([to_str(v + half) for v in reversed(values)])
-        return _EXACT.subtract(Decimal(digits), Decimal(bias * len(values)))
+        return _EXACT.subtract(Decimal(digits), bias)
 
     pa = pack(a)
-    # the same Decimal on both sides lets libmpdec square it
+    # the same Decimal on both sides lets libmpdec square it; pa goes once
+    # multiplied, so the bias kept for the rebias does not raise the peak
     prod = _EXACT.multiply(pa, pa if b is a else pack(b))
+    del pa
     # Only the low n of the product's 2n digits are read.  Adding the bias
     # at those n digits, and 10**(2nw) above the top one, leaves them as if
     # the bias were added at every digit: each is coeff + half, with no
     # borrow across digit boundaries.  The sum is nonnegative, so a shift by
     # 0 in precision n * w keeps exactly those n digits.
     top = Decimal("1E%d" % (2 * n * w))
-    biased = _EXACT.add(_EXACT.add(prod, Decimal(bias * n)), top)
+    biased = _EXACT.add(_EXACT.add(prod, bias), top)
     raw = str(Context(prec=n * w, Emax=MAX_EMAX).shift(biased, 0)).zfill(n * w)
     return [to_int(raw[o - w:o]) - half for o in range(n * w, 0, -w)]
 
@@ -82,16 +90,23 @@ def _inverse(a: tuple) -> list:
     # Power-series division (Knuth, TAOCP vol. 2, 4.7): b_0 = a_0 and
     # b_k = -a_0 * sum(a_i * b_(k-i)) over the nonzero a_i with 1 <= i <= k
     # (a_0 = +-1 is its own inverse).  O(n * nnz), so a sparse theta divisor
-    # is cheap.
+    # is cheap.  The terms are grouped by value c = -a_0 * a_i, so each k adds
+    # up a group's b_(k-i), offsets ascending, and multiplies by c once.
     a0 = a[0]
-    terms = [(i, -a0 * v) for i, v in enumerate(a) if i and v]
+    groups = {}
+    for i, v in enumerate(a):
+        if i and v:
+            groups.setdefault(-a0 * v, []).append(i)
     b = [a0] + [0] * (len(a) - 1)
     for k in range(1, len(a)):
         s = 0
-        for i, c in terms:
-            if i > k:
-                break
-            s += c * b[k - i]
+        for c, offsets in groups.items():
+            t = 0
+            for i in offsets:
+                if i > k:
+                    break
+                t += b[k - i]
+            s += c * t
         b[k] = s
     return b
 

@@ -48,11 +48,19 @@ MUTANTS = [
     (
         SERIES,
         "pa if b is a else pack(b))",
-        "pa if b is a else _EXACT.add(pack(b), Decimal(bias * len(b))))",
+        "pa if b is a else _EXACT.add(pack(b), bias))",
         (T_SERIES,),
     ),
     (SERIES, "pa if b is a else pack(b))", "pa)", (T_SERIES,)),
     (SERIES, ".zfill(n * w)", "", (T_SERIES,)),
+    # the packed bias, doubled over the bits of n
+    (
+        SERIES,
+        "            bias, m = _EXACT.add(_EXACT.scaleb(bias, w), half), m + 1\n",
+        "            pass\n",
+        (T_SERIES,),
+    ),
+    (SERIES, "_EXACT.scaleb(bias, m * w)", "_EXACT.scaleb(bias, (m - 1) * w)", (T_SERIES,)),
     (SERIES, "from _decimal import", "from decimal import", (T_SERIES,)),
     (
         SERIES,
@@ -63,7 +71,8 @@ MUTANTS = [
     (SERIES, "(lambda v: str(Decimal(v)))", "str", (T_SERIES,)),
     (SERIES, "(lambda s: int(Decimal(s)))", "int", (T_SERIES,)),
     (SERIES, "if i > k:", "if i >= k:", (T_SERIES,)),
-    (SERIES, "(i, -a0 * v)", "(i, -v)", (T_SERIES,)),
+    (SERIES, "groups.setdefault(-a0 * v, [])", "groups.setdefault(-v, [])", (T_SERIES,)),
+    (SERIES, "s += c * t", "s += t", (T_SERIES,)),
     (SERIES, "return self + -other", "return self + other", (T_SERIES,)),
     (
         SERIES,

@@ -229,6 +229,18 @@ def test_mul_lists_matches_oracle_mul(lo, hi):
         assert _mul_lists(a, b, n) == oracle.mul(a, b, n)
 
 
+def test_mul_lists_at_every_size_to_130():
+    # the packed bias is built by doubling over the bits of n, so every bit
+    # pattern of n below 2**8 is reached, for a square (b is a) and for a
+    # general product, with coefficients of both signs
+    rng = random.Random(130)
+    for n in range(1, 131):
+        a = tuple(rng.randint(-(10**12), 10**12) for _ in range(n))
+        b = tuple(rng.randint(-9, 9) for _ in range(n))
+        assert _mul_lists(a, a, n) == oracle.mul(a, a, n), n
+        assert _mul_lists(a, b, n) == oracle.mul(a, b, n), n
+
+
 def test_kronecker_handles_sparse_and_negative():
     a = tuple([0] * 63 + [-(10**30)])
     b = tuple([7] + [0] * 62 + [10**30])
@@ -418,7 +430,10 @@ def test_dense_unit_inverse_matches_oracle():
 
 def test_inverse_against_oracle():
     # every size to 128: dense random inputs with either unit constant
-    # term, and sparse divisors (theta series, 1 - q**k) of either sign
+    # term, and sparse divisors (theta series, 1 - q**k) of either sign.
+    # The recurrence groups a divisor's terms by value, so some divisors
+    # repeat values other than +-1: theta(a, 2a) has terms +-2, where its
+    # exponents coincide, and 1 + 3q + 3q^2 - 3q^3 - 3q^5 has +-3
     rng = random.Random(11)
     for n in range(1, 129):
         inputs = [
@@ -428,6 +443,8 @@ def test_inverse_against_oracle():
             theta(1, 5, n),
             theta(2, 5, n),
             Series.one(n) - Series.monomial(1, 1 + n % 7, n),
+            *(theta(a, 2 * a, n) for a in (1, 2, 3)),
+            Series(([1, 3, 3, -3, 0, -3] + [0] * n)[:n]),
         ):
             inputs += [list(sparse), list(-sparse)]
         for coeffs in inputs:
