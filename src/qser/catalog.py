@@ -61,8 +61,8 @@ ALIASES = {
 
 # The precision ceiling: four times the deepest scans (n = 25,000, or
 # conjecture13 to n_max = 5,000 at 5*n_max + 2).  Single cold builds in a
-# fresh process took 2.81 s and 46.5 MiB for A at 25,002, and for Fratio51
-# 3.10 s and 55.5 MiB at 20,000 and 42.9 s and 514 MiB at 100,000 (2-vCPU
+# fresh process took 1.58 s and 45.0 MiB for A at 25,002, and for Fratio51
+# 1.87 s and 50.0 MiB at 20,000 and 26.7 s and 436 MiB at 100,000 (2-vCPU
 # Xeon, CPython 3.11.7, libmpdec 2.5.1), so 10**8 would never finish.
 MAX_PREC = 100_000
 
@@ -124,6 +124,8 @@ def build(name: str, prec: int) -> Series:
     deterministic, so a lost update only recomputes identical values.
     """
     key = _canonical(name)
+    if not isinstance(prec, int) or isinstance(prec, bool):
+        raise TypeError(f"precision must be an exact int, got {prec!r}")
     if prec < 0:
         raise ValueError(f"precision must be >= 0, got {prec}")
     if prec > MAX_PREC:
@@ -152,6 +154,8 @@ def coefficient(name: str, n: int) -> int:
     query.
     """
     key = _canonical(name)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"coefficient index must be an exact int, got {n!r}")
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
     with _cache_lock:

@@ -79,10 +79,14 @@ def _mul_lists(a: tuple, b: tuple, n: int) -> list:
     # at those n digits, and 10**(2nw) above the top one, leaves them as if
     # the bias were added at every digit: each is coeff + half, with no
     # borrow across digit boundaries.  The sum is nonnegative, so a shift by
-    # 0 in precision n * w keeps exactly those n digits.
+    # 0 in precision n * w keeps exactly those n digits.  top joins the bias
+    # before the product does, and each step rebinds prod, so at most three
+    # values of 2n digits are alive at once, and none once the string is made.
     top = Decimal("1E%d" % (2 * n * w))
-    biased = _EXACT.add(_EXACT.add(prod, bias), top)
-    raw = str(Context(prec=n * w, Emax=MAX_EMAX).shift(biased, 0)).zfill(n * w)
+    prod = _EXACT.add(prod, _EXACT.add(bias, top))
+    prod = Context(prec=n * w, Emax=MAX_EMAX).shift(prod, 0)
+    raw = str(prod).zfill(n * w)
+    del prod
     return [to_int(raw[o - w:o]) - half for o in range(n * w, 0, -w)]
 
 
@@ -114,10 +118,9 @@ def _inverse(a: tuple) -> list:
 class Series:
     """Immutable truncated power series with exact integer coefficients."""
 
-    __slots__ = ("coeffs", "prec")
+    __slots__ = ("coeffs",)
 
     coeffs: tuple
-    prec: int
 
     def __init__(self, coeffs: Iterable[int] = ()):
         t = tuple(coeffs)
@@ -125,13 +128,11 @@ class Series:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError(f"coefficients must be exact ints, got {v!r}")
         object.__setattr__(self, "coeffs", t)
-        object.__setattr__(self, "prec", len(t))
 
     @classmethod
     def _make(cls, coeffs: tuple) -> "Series":
         s = object.__new__(cls)
         object.__setattr__(s, "coeffs", coeffs)
-        object.__setattr__(s, "prec", len(coeffs))
         return s
 
     def __setattr__(self, name, value):
@@ -162,11 +163,13 @@ class Series:
     # -- inspection -------------------------------------------------------
 
     def __len__(self) -> int:
-        return self.prec
+        return len(self.coeffs)
+
+    prec = property(__len__, doc="The number of known coefficients, read-only.")
 
     def __getitem__(self, n: int) -> int:
-        if not 0 <= n < self.prec:
-            raise IndexError(f"coefficient {n} is beyond precision {self.prec}")
+        if not 0 <= n < len(self.coeffs):
+            raise IndexError(f"coefficient {n} is beyond precision {len(self.coeffs)}")
         return self.coeffs[n]
 
     def __iter__(self) -> Iterator[int]:

@@ -74,6 +74,7 @@ MUTANTS = [
     (SERIES, "groups.setdefault(-a0 * v, [])", "groups.setdefault(-v, [])", (T_SERIES,)),
     (SERIES, "s += c * t", "s += t", (T_SERIES,)),
     (SERIES, "return self + -other", "return self + other", (T_SERIES,)),
+    (SERIES, "if not 0 <= n < len(self.coeffs):", "if not n < len(self.coeffs):", (T_SERIES,)),
     (
         SERIES,
         'f"<Series of {self.prec} terms: {head}, ...>"',
@@ -161,6 +162,16 @@ MUTANTS = [
         "max(64, 2 * (hit.prec if hit is not None else 0))",
         (T_CATALOG,),
     ),
+    # sizes are exact ints, bools refused
+    (
+        CATALOG,
+        "if not isinstance(prec, int) or isinstance(prec, bool):",
+        "if False:",
+        (T_CATALOG,),
+    ),
+    (CATALOG, "isinstance(prec, int) or isinstance(prec, bool):", "isinstance(prec, int):", (T_CATALOG,)),
+    (CATALOG, "if not isinstance(n, int) or isinstance(n, bool):", "if False:", (T_CATALOG,)),
+    (CATALOG, "isinstance(n, int) or isinstance(n, bool):", "isinstance(n, int):", (T_CATALOG,)),
     # a smaller build never replaces a larger cache entry, and a cached
     # coefficient is read without a build
     (CATALOG, "if hit is None or hit.prec < out.prec:", "if True:", (T_CATALOG,)),

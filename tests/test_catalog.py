@@ -1,13 +1,14 @@
 """Named series registry: recipes, aliases, cache behavior, frozen values."""
 
 import math
+import re
 import threading
 
 import pytest
 
 import oracle
 import qser
-from qser import catalog, products, series
+from qser import catalog, checks, products, series
 from qser.products import ProductSpec, expand_product
 from qser.series import Series
 
@@ -226,6 +227,23 @@ def _refuse_to_compute(key, prec):
     raise AssertionError(f"computed {key} at {prec}")
 
 
+def test_sizes_must_be_exact_ints(monkeypatch):
+    # checked before any work, so a bool or a float never reaches a recipe;
+    # every scan and verifier builds through build
+    monkeypatch.setattr(catalog, "_compute", _refuse_to_compute)
+    for bad in (True, False, 2.0, 2.5, "3", None):
+        with pytest.raises(TypeError, match=rf"^precision must be an exact int, got {re.escape(repr(bad))}$"):
+            catalog.build("R", bad)
+        with pytest.raises(
+            TypeError, match=rf"^coefficient index must be an exact int, got {re.escape(repr(bad))}$"
+        ):
+            catalog.coefficient("A", bad)
+    with pytest.raises(TypeError, match=r"^precision must be an exact int, got 3\.5$"):
+        checks.scan_signs("c", checks.RICHMOND_C, 2.5)
+    with pytest.raises(TypeError, match=r"^precision must be an exact int, got 2\.5$"):
+        checks.verify_identity_B20(2.5)
+
+
 def test_precision_ceiling_fails_before_computing(monkeypatch):
     monkeypatch.setattr(catalog, "_compute", _refuse_to_compute)
     with pytest.raises(catalog.PrecisionTooLarge, match=str(catalog.MAX_PREC + 1)):
@@ -286,7 +304,7 @@ def test_concurrent_builds_agree():
 
 def test_precision_too_large_is_the_only_exception_class():
     # the CLI turns PrecisionTooLarge into exit 2; every other misuse raises
-    # ValueError, or TypeError for a coefficient that is not an int
+    # ValueError, or TypeError for a coefficient or a size that is not an int
     exported = [getattr(qser, name) for name in qser.__all__]
     errors = [v for v in exported if isinstance(v, type) and issubclass(v, BaseException)]
     assert errors == [catalog.PrecisionTooLarge]

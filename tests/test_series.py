@@ -80,9 +80,9 @@ def test_monomial_negative_exponent_rejected():
 def test_getitem_bounds():
     s = Series([4, 5, 6])
     assert s[0] == 4 and s[2] == 6
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^coefficient 3 is beyond precision 3$"):
         s[3]
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^coefficient -1 is beyond precision 3$"):
         s[-1]
 
 
@@ -104,6 +104,39 @@ def test_series_is_immutable():
         s.coeffs = (9,)
     with pytest.raises(AttributeError):
         s.prec = 99
+
+
+def test_precision_is_the_length_of_the_coefficients():
+    # every constructor and operation; a Series stores only its tuple
+    a = Series([1, -2, 3, 0, 5, 7])
+    u = Series([1, 1, 0, -1, 2])
+    made = {
+        "Series": a,
+        "Series()": Series(),
+        "zero": Series.zero(4),
+        "one": Series.one(3),
+        "monomial": Series.monomial(7, 2, 5),
+        "monomial past prec": Series.monomial(7, 5, 2),
+        "shift": a.shift(3),
+        "scale": a.scale(-4),
+        "substitute_qm": a.substitute_qm(3),
+        "dissect": a.dissect(4, 1),
+        "truncate": a.truncate(2),
+        "+": a + u,
+        "+ int": a + 3,
+        "-": a - u,
+        "neg": -a,
+        "*": a * u,
+        "**": u ** 3,
+        "** 0": u ** 0,
+        "inverse": u.inverse(),
+        "/": a / u,
+        "/ q": a.shift(1) / Series([0, 1, 0, 0]),
+        "/ zero numerator": Series.zero(5) / u,
+    }
+    lengths = {name: (s.prec, len(s), len(s.coeffs)) for name, s in made.items()}
+    assert all(p == n == c for p, n, c in lengths.values()), lengths
+    assert lengths["substitute_qm"][0] == 18 and lengths["/ q"][0] == 3
 
 
 def test_truncate():
