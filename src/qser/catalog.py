@@ -38,7 +38,7 @@ import threading
 
 from .products import euler_f, theta
 from .products import expand_product  # noqa: F401 -- bench/spans.py wraps this binding by name
-from .series import Series
+from .series import Series, exact_int
 
 __all__ = [
     "NAMES",
@@ -124,11 +124,7 @@ def build(name: str, prec: int) -> Series:
     deterministic, so a lost update only recomputes identical values.
     """
     key = _canonical(name)
-    if not isinstance(prec, int) or isinstance(prec, bool):
-        raise TypeError(f"precision must be an exact int, got {prec!r}")
-    if prec < 0:
-        raise ValueError(f"precision must be >= 0, got {prec}")
-    if prec > MAX_PREC:
+    if exact_int(prec, "precision", 0) > MAX_PREC:
         raise PrecisionTooLarge(
             f"{name} needs {prec} coefficients, past the precision ceiling of {MAX_PREC}"
         )
@@ -154,10 +150,7 @@ def coefficient(name: str, n: int) -> int:
     query.
     """
     key = _canonical(name)
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"coefficient index must be an exact int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"coefficient index must be >= 0, got {n}")
+    exact_int(n, "coefficient index", 0)
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None and hit.prec > n:

@@ -22,7 +22,7 @@ from enum import Enum
 
 from . import catalog
 from .products import expand_product  # noqa: F401 -- bench/spans.py wraps this binding by name
-from .series import Series
+from .series import Series, exact_int
 
 __all__ = [
     "Sign",
@@ -104,24 +104,15 @@ class SignPattern(namedtuple("SignPattern", "modulus expected exceptions")):
 
     def __new__(cls, modulus, expected, exceptions=None):
         exceptions = {} if exceptions is None else exceptions
-        if not isinstance(modulus, int) or isinstance(modulus, bool):
-            raise TypeError(f"modulus must be an exact int, got {modulus!r}")
-        if modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        exact_int(modulus, "modulus", 1)
         for r, sign in expected.items():
-            if not isinstance(r, int) or isinstance(r, bool):
-                raise TypeError(f"residue must be an exact int, got {r!r}")
-            if not 0 <= r < modulus:
+            if not 0 <= exact_int(r, "residue") < modulus:
                 raise ValueError(f"residue {r} out of range for modulus {modulus}")
             if not isinstance(sign, Sign):
                 raise TypeError(f"expected sign at residue {r} must be a Sign, got {sign!r}")
         for i, value in exceptions.items():
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise TypeError(f"exception index must be an exact int, got {i!r}")
-            if i < 0:
-                raise ValueError(f"exception index must be >= 0, got {i}")
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"exception value at index {i} must be an exact int, got {value!r}")
+            exact_int(i, "exception index", 0)
+            exact_int(value, f"exception value at index {i}")
         return super().__new__(cls, modulus, expected, exceptions)
 
 
@@ -187,14 +178,9 @@ def _compare(subject: str, lhs: Series, rhs: Series, prec: int) -> Report:
     return Report(subject, prec, Status.VERIFIED)
 
 
-def _require_order(prec: int) -> None:
-    if prec < 1:
-        raise ValueError(f"order must be >= 1, got {prec}")
-
-
 def verify_identity_B20(prec: int) -> Report:
     """1/R**5 - q**2 * R**5 == 11q + f1**6/f5**6, coefficient-wise."""
-    _require_order(prec)
+    exact_int(prec, "order", 1)
     lhs = catalog.build("R5inv", prec) - catalog.build("R5", prec).shift(2)
     rhs = Series.monomial(11, 1, prec) + catalog.build("Fratio15", prec)
     return _compare("B20", lhs, rhs, prec)
@@ -217,7 +203,7 @@ _PLUS_QUARTIC = (1, 3, 4, 2, 1)
 def verify_identity_R5(prec: int) -> Report:
     """R**5 == x * (1-2qx+4q2x2-3q3x3+q4x4) / (1+3qx+4q2x2+2q3x3+q4x4)
     with x = R(q**5), checked as R**5 * plus == x * minus."""
-    _require_order(prec)
+    exact_int(prec, "order", 1)
     x = catalog.build("Rq5", prec)
     lhs = catalog.build("R5", prec)
     gap = lhs * _powers_times_q(x, _PLUS_QUARTIC) - x * _powers_times_q(x, _MINUS_QUARTIC)
@@ -244,7 +230,7 @@ def verify_genfun(which: str, prec: int) -> Report:
     """
     if which not in _GENFUNS:
         raise ValueError(f"unknown generating-function target {which!r}")
-    _require_order(prec)
+    exact_int(prec, "order", 1)
     name, power, weights = _GENFUNS[which]
     x = catalog.build("Rq5", prec)
     x_inv = catalog.at_q5("Rinv", prec)
@@ -267,7 +253,7 @@ def verify_dissection(which: str, prec: int) -> Report:
     """
     if which not in _DISSECTIONS:
         raise ValueError(f"unknown dissection target {which!r}")
-    _require_order(prec)
+    exact_int(prec, "order", 1)
     name, j = _DISSECTIONS[which]
     lhs = catalog.build(name, 5 * prec + 4).dissect(5, j)
     bracket = Series.one(prec) - catalog.build("Fratio51", prec).scale(25).shift(1)
@@ -309,8 +295,7 @@ def scan_signs(
     other indices must match the strict sign for their residue class. A
     failed scan comes back VIOLATED with every violation found.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    exact_int(n_max, "n_max", 0)
     if subject is None:
         subject = f"scan-{name}"
     series = catalog.build(name, n_max + 1)
@@ -343,8 +328,7 @@ def check_conjecture13(n_max: int) -> dict[str, Report]:
     all its violations. n_max counts pattern periods: the A and B scans
     cover coefficients up to 5*n_max, the D scan up to 5*n_max + 1.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    exact_int(n_max, "n_max", 0)
     # B first builds R to 5*n_max + 1; D then needs R only to n_max + 1 (for
     # R(q**5)) and builds R5inv to 5*n_max + 2, which A reads as a prefix.
     # Any other order computes R or R5inv twice.
@@ -385,8 +369,7 @@ def scan_asymptotic(n_max: int) -> Report:
     the agreement rate is at least ASYMPTOTIC_MIN_AGREEMENT; disagreements
     are reported as violations either way.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    exact_int(n_max, "n_max", 0)
     series = catalog.build("c", n_max + 1)
     indices = asymptotic_range(n_max)
     violations = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .series import Series
+from .series import Series, exact_int
 
 __all__ = ["ProductSpec", "pochhammer_inf", "theta", "euler_f", "expand_product"]
 
@@ -39,11 +39,9 @@ class ProductSpec(namedtuple("ProductSpec", "factors")):
     def __new__(cls, factors=()):
         factors = tuple(tuple(f) for f in factors)
         for a, m, e in factors:
-            if a < 1:
-                raise ValueError(f"factor offset must be >= 1, got {a}")
-            if m < 1:
-                raise ValueError(f"factor modulus must be >= 1, got {m}")
-            if e == 0:
+            exact_int(a, "factor offset", 1)
+            exact_int(m, "factor modulus", 1)
+            if exact_int(e, "factor exponent") == 0:
                 raise ValueError("factor exponent must be nonzero")
         return super().__new__(cls, factors)
 
@@ -56,11 +54,10 @@ def theta(a: int, m: int, prec: int) -> Series:
     O(sqrt(prec/m)) nonzero terms.  The exponents grow with |j| on both
     sides of j = 0, and they coincide in pairs when m = 2a, hence ``+=``.
     """
-    if not 0 < a < m:
+    exact_int(m, "m")
+    if not 0 < exact_int(a, "a") < m:
         raise ValueError(f"need 0 < a < m, got a={a}, m={m}")
-    if prec < 0:
-        raise ValueError(f"precision must be >= 0, got {prec}")
-    coeffs = [0] * prec
+    coeffs = [0] * exact_int(prec, "precision", 0)
     for j, step in ((0, 1), (-1, -1)):
         while (e := m * j * (j - 1) // 2 + a * j) < prec:
             coeffs[e] += -1 if j & 1 else 1
@@ -74,9 +71,7 @@ def euler_f(k: int, prec: int) -> Series:
     Euler's pentagonal number theorem is the triple product with a = k, m = 3k:
     (q**k; q**3k)(q**2k; q**3k)(q**3k; q**3k) = (q**k; q**k).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return theta(k, 3 * k, prec)
+    return theta(exact_int(k, "k", 1), 3 * k, prec)
 
 
 def expand_product(spec: ProductSpec, prec: int) -> Series:
@@ -86,9 +81,7 @@ def expand_product(spec: ProductSpec, prec: int) -> Series:
     (1 - q**t), or divided when e < 0, for each factor (a, m, e) and each
     t = a + k*m < prec.  No theta series and no Series arithmetic is used.
     """
-    if prec < 0:
-        raise ValueError(f"precision must be >= 0, got {prec}")
-    c = [1 if k == 0 else 0 for k in range(prec)]
+    c = [1 if k == 0 else 0 for k in range(exact_int(prec, "precision", 0))]
     for a, m, e in spec.factors:
         for t in range(a, prec, m):
             for _ in range(abs(e)):

@@ -10,8 +10,12 @@ up is unknown, and arithmetic propagates precision conservatively
 (min of the operands, adjusted by shifts and dissections).
 
 Series are immutable; all operations return new values and are safe to share
-between threads.  Misuse raises ValueError; a coefficient that is not an int
-raises TypeError, and an index past the precision raises IndexError.
+between threads.  Misuse raises ValueError, and an index past the precision
+raises IndexError.  Every coefficient, size, index and count argument in qser
+passes through one check, ``exact_int``: a value that is not an int, or is a
+bool, raises ``TypeError("<what> must be an exact int, got <value!r>")``, and
+one below its floor raises ``ValueError("<what> must be >= <least>, got
+<value>")``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,15 @@ __all__ = ["Series"]
 # round raises instead.  The C module is imported by name: the pure-Python
 # fallback converts ints through str, which CPython refuses past its digit limit.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+
+
+def exact_int(value, what: str, least: int | None = None):
+    """value, if it is an int but not a bool, and not below least if given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an exact int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 def _mul_lists(a: tuple, b: tuple, n: int) -> list:
@@ -125,8 +138,7 @@ class Series:
     def __init__(self, coeffs: Iterable[int] = ()):
         t = tuple(coeffs)
         for v in t:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError(f"coefficients must be exact ints, got {v!r}")
+            exact_int(v, "coefficient")
         object.__setattr__(self, "coeffs", t)
 
     @classmethod
@@ -140,9 +152,7 @@ class Series:
 
     @classmethod
     def zero(cls, prec: int) -> "Series":
-        if prec < 0:
-            raise ValueError(f"precision must be >= 0, got {prec}")
-        return cls._make((0,) * prec)
+        return cls._make((0,) * exact_int(prec, "precision", 0))
 
     @classmethod
     def one(cls, prec: int) -> "Series":
@@ -151,12 +161,8 @@ class Series:
     @classmethod
     def monomial(cls, coeff: int, exponent: int, prec: int) -> "Series":
         """coeff * q**exponent, truncated to prec (zero if exponent >= prec)."""
-        if not isinstance(coeff, int) or isinstance(coeff, bool):
-            raise TypeError(f"coefficients must be exact ints, got {coeff!r}")
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        if exponent >= prec:
-            # also the only path for prec < 0, which zero() rejects
+        exact_int(coeff, "coefficient")
+        if exact_int(exponent, "exponent", 0) >= exact_int(prec, "precision", 0):
             return cls.zero(prec)
         return cls._make((0,) * exponent + (coeff,) + (0,) * (prec - exponent - 1))
 
@@ -184,7 +190,7 @@ class Series:
 
     def truncate(self, prec: int) -> "Series":
         """Drop precision down to the first `prec` coefficients."""
-        if not 0 <= prec <= self.prec:
+        if not 0 <= exact_int(prec, "precision") <= self.prec:
             raise ValueError(f"cannot truncate prec {self.prec} to {prec}")
         if prec == self.prec:
             return self
@@ -231,9 +237,7 @@ class Series:
 
     def __pow__(self, k: int) -> "Series":
         """k-th power by repeated squaring, precision unchanged."""
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        if k == 0:
+        if exact_int(k, "exponent", 0) == 0:
             return Series.one(self.prec)
         # left to right over the bits of k, starting from the base itself
         result = self
@@ -281,21 +285,16 @@ class Series:
 
     def shift(self, k: int) -> "Series":
         """Multiply by q**k for k >= 0; precision grows by k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return Series._make((0,) * k + self.coeffs)
+        return Series._make((0,) * exact_int(k, "shift", 0) + self.coeffs)
 
     def scale(self, c: int) -> "Series":
         """Multiply every coefficient by the integer c."""
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise TypeError("scale factor must be an exact int")
+        exact_int(c, "scale factor")
         return Series._make(tuple(c * v for v in self.coeffs))
 
     def substitute_qm(self, m: int) -> "Series":
         """Replace q by q**m; precision grows to prec*m."""
-        if m < 1:
-            raise ValueError("substitution power must be >= 1")
-        if m == 1:
+        if exact_int(m, "substitution power", 1) == 1:
             return self
         out = [0] * (self.prec * m)
         out[::m] = self.coeffs
@@ -304,8 +303,7 @@ class Series:
     def dissect(self, m: int, j: int) -> "Series":
         """Extract the arithmetic progression: coefficient n of the result
         is coefficient m*n + j of self."""
-        if m < 1:
-            raise ValueError("dissection modulus must be >= 1")
-        if not 0 <= j < m:
+        exact_int(m, "dissection modulus", 1)
+        if not 0 <= exact_int(j, "residue") < m:
             raise ValueError(f"residue must satisfy 0 <= j < {m}, got {j}")
         return Series._make(self.coeffs[j::m])

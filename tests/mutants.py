@@ -155,23 +155,115 @@ MUTANTS = [
         (T_CATALOG,),
     ),
     # the precision ceiling and the cache growth
-    (CATALOG, "if prec > MAX_PREC:", "if prec > 10 * MAX_PREC:", (T_CATALOG, T_CLI)),
+    (
+        CATALOG,
+        'exact_int(prec, "precision", 0) > MAX_PREC:',
+        'exact_int(prec, "precision", 0) > 10 * MAX_PREC:',
+        (T_CATALOG, T_CLI),
+    ),
     (
         CATALOG,
         "min(MAX_PREC, max(64, 2 * (hit.prec if hit is not None else 0)))",
         "max(64, 2 * (hit.prec if hit is not None else 0))",
         (T_CATALOG,),
     ),
-    # sizes are exact ints, bools refused
+    # sizes are exact ints, bools refused: one check, exact_int, which each
+    # site calls; per site, the call is deleted, or its argument is coerced
+    # to an int first so that a bool or a float passes
+    (SERIES, " or isinstance(value, bool)", "", (T_CATALOG, T_SERIES)),
+    (SERIES, "value < least:", "value < least - 1:", (T_CATALOG, T_SERIES)),
     (
         CATALOG,
-        "if not isinstance(prec, int) or isinstance(prec, bool):",
-        "if False:",
+        'if exact_int(prec, "precision", 0) > MAX_PREC:',
+        "if prec > MAX_PREC:",
         (T_CATALOG,),
     ),
-    (CATALOG, "isinstance(prec, int) or isinstance(prec, bool):", "isinstance(prec, int):", (T_CATALOG,)),
-    (CATALOG, "if not isinstance(n, int) or isinstance(n, bool):", "if False:", (T_CATALOG,)),
-    (CATALOG, "isinstance(n, int) or isinstance(n, bool):", "isinstance(n, int):", (T_CATALOG,)),
+    (
+        CATALOG,
+        'exact_int(prec, "precision", 0) > MAX_PREC:',
+        'exact_int(int(prec), "precision", 0) > MAX_PREC:',
+        (T_CATALOG,),
+    ),
+    (CATALOG, '    exact_int(n, "coefficient index", 0)\n', "", (T_CATALOG,)),
+    (CATALOG, 'exact_int(n, "coefficient index", 0)', 'exact_int(int(n), "coefficient index", 0)', (T_CATALOG,)),
+    (SERIES, '        for v in t:\n            exact_int(v, "coefficient")\n', "", (T_CATALOG, T_SERIES)),
+    (SERIES, '(0,) * exact_int(prec, "precision", 0))', "(0,) * prec)", (T_CATALOG, T_SERIES)),
+    (SERIES, '        exact_int(coeff, "coefficient")\n', "", (T_CATALOG, T_SERIES)),
+    (SERIES, 'if exact_int(exponent, "exponent", 0) >=', "if exponent >=", (T_CATALOG, T_SERIES)),
+    (SERIES, '>= exact_int(prec, "precision", 0):', ">= prec:", (T_CATALOG, T_SERIES)),
+    (SERIES, 'if not 0 <= exact_int(prec, "precision") <=', "if not 0 <= prec <=", (T_CATALOG, T_SERIES)),
+    (SERIES, 'if exact_int(k, "exponent", 0) == 0:', "if k == 0:", (T_CATALOG, T_SERIES)),
+    (SERIES, '(0,) * exact_int(k, "shift", 0) +', "(0,) * k +", (T_CATALOG, T_SERIES)),
+    (SERIES, '        exact_int(c, "scale factor")\n', "", (T_CATALOG, T_SERIES)),
+    (SERIES, 'if exact_int(m, "substitution power", 1) == 1:', "if m == 1:", (T_CATALOG, T_SERIES)),
+    (SERIES, '        exact_int(m, "dissection modulus", 1)\n', "", (T_CATALOG, T_SERIES)),
+    (SERIES, 'exact_int(j, "residue") < m:', "j < m:", (T_CATALOG, T_SERIES)),
+    (
+        PRODUCTS,
+        '            exact_int(a, "factor offset", 1)\n',
+        "",
+        (T_CATALOG, T_PRODUCTS),
+    ),
+    (
+        PRODUCTS,
+        '            exact_int(m, "factor modulus", 1)\n',
+        "",
+        (T_CATALOG, T_PRODUCTS),
+    ),
+    (PRODUCTS, 'if exact_int(e, "factor exponent") == 0:', "if e == 0:", (T_CATALOG, T_PRODUCTS)),
+    (PRODUCTS, '    exact_int(m, "m")\n', "", (T_CATALOG, T_PRODUCTS)),
+    (PRODUCTS, 'exact_int(a, "a") < m:', "a < m:", (T_CATALOG, T_PRODUCTS)),
+    (PRODUCTS, '[0] * exact_int(prec, "precision", 0)', "[0] * prec", (T_CATALOG, T_PRODUCTS)),
+    (PRODUCTS, 'theta(exact_int(k, "k", 1), 3 * k, prec)', "theta(k, 3 * k, prec)", (T_CATALOG, T_PRODUCTS)),
+    (
+        PRODUCTS,
+        'range(exact_int(prec, "precision", 0))',
+        "range(prec)",
+        (T_CATALOG, T_PRODUCTS),
+    ),
+    # every verifier's order and every scan's n_max
+    (
+        CHECKS,
+        '    exact_int(prec, "order", 1)\n    lhs = catalog.build("R5inv", prec)',
+        '    lhs = catalog.build("R5inv", prec)',
+        (T_CATALOG, T_CHECKS),
+    ),
+    (
+        CHECKS,
+        '    exact_int(prec, "order", 1)\n    x = catalog.build("Rq5", prec)\n    lhs',
+        '    x = catalog.build("Rq5", prec)\n    lhs',
+        (T_CATALOG, T_CHECKS),
+    ),
+    (
+        CHECKS,
+        '    exact_int(prec, "order", 1)\n    name, power, weights',
+        "    name, power, weights",
+        (T_CATALOG, T_CHECKS),
+    ),
+    (
+        CHECKS,
+        '    exact_int(prec, "order", 1)\n    name, j = ',
+        "    name, j = ",
+        (T_CATALOG, T_CHECKS),
+    ),
+    (
+        CHECKS,
+        '    exact_int(n_max, "n_max", 0)\n    if subject is None:',
+        "    if subject is None:",
+        (T_CATALOG, T_CHECKS),
+    ),
+    (
+        CHECKS,
+        '    exact_int(n_max, "n_max", 0)\n    # B first',
+        "    # B first",
+        (T_CATALOG, T_CHECKS),
+    ),
+    (
+        CHECKS,
+        '    exact_int(n_max, "n_max", 0)\n    series = catalog.build("c"',
+        '    series = catalog.build("c"',
+        (T_CATALOG, T_CHECKS),
+    ),
     # a smaller build never replaces a larger cache entry, and a cached
     # coefficient is read without a build
     (CATALOG, "if hit is None or hit.prec < out.prec:", "if True:", (T_CATALOG,)),
@@ -218,32 +310,22 @@ MUTANTS = [
     (CHECKS, "want is not None", "want is None", (T_CHECKS,)),
     # a sign pattern takes only Sign members and exact int exception values,
     (CHECKS, "if not isinstance(sign, Sign):", "if False:", (T_CHECKS,)),
+    (CHECKS, '            exact_int(value, f"exception value at index {i}")\n', "", (T_CHECKS,)),
     (
         CHECKS,
-        "if not isinstance(value, int) or isinstance(value, bool):",
-        "if False:",
+        'exact_int(value, f"exception value at index {i}")',
+        'exact_int(int(value), f"exception value at index {i}")',
         (T_CHECKS,),
     ),
-    (CHECKS, "int) or isinstance(value, bool):", "int):", (T_CHECKS,)),
     # and only exact int residues and nonnegative exact int exception indices
-    (CHECKS, "if not isinstance(r, int) or isinstance(r, bool):", "if False:", (T_CHECKS,)),
-    (CHECKS, "isinstance(r, int) or isinstance(r, bool):", "isinstance(r, int):", (T_CHECKS,)),
-    (CHECKS, "if not isinstance(i, int) or isinstance(i, bool):", "if False:", (T_CHECKS,)),
-    (CHECKS, "isinstance(i, int) or isinstance(i, bool):", "isinstance(i, int):", (T_CHECKS,)),
-    (CHECKS, "if i < 0:", "if False:", (T_CHECKS,)),
+    (CHECKS, 'exact_int(r, "residue") < modulus', "r < modulus", (T_CHECKS,)),
+    (CHECKS, 'exact_int(r, "residue") < modulus', 'exact_int(int(r), "residue") < modulus', (T_CHECKS,)),
+    (CHECKS, '            exact_int(i, "exception index", 0)\n', "", (T_CHECKS,)),
+    (CHECKS, 'exact_int(i, "exception index", 0)', 'exact_int(int(i), "exception index", 0)', (T_CHECKS,)),
+    (CHECKS, 'exact_int(i, "exception index", 0)', 'exact_int(i, "exception index")', (T_CHECKS,)),
     # and only an exact int modulus
-    (
-        CHECKS,
-        "if not isinstance(modulus, int) or isinstance(modulus, bool):",
-        "if False:",
-        (T_CHECKS,),
-    ),
-    (
-        CHECKS,
-        "isinstance(modulus, int) or isinstance(modulus, bool):",
-        "isinstance(modulus, int):",
-        (T_CHECKS,),
-    ),
+    (CHECKS, '        exact_int(modulus, "modulus", 1)\n', "", (T_CHECKS,)),
+    (CHECKS, 'exact_int(modulus, "modulus", 1)', 'exact_int(int(modulus), "modulus", 1)', (T_CHECKS,)),
     # _replace runs each class's checks through its _make
     (
         CHECKS,

@@ -238,10 +238,69 @@ def test_sizes_must_be_exact_ints(monkeypatch):
             TypeError, match=rf"^coefficient index must be an exact int, got {re.escape(repr(bad))}$"
         ):
             catalog.coefficient("A", bad)
-    with pytest.raises(TypeError, match=r"^precision must be an exact int, got 3\.5$"):
+    with pytest.raises(TypeError, match=r"^n_max must be an exact int, got 2\.5$"):
         checks.scan_signs("c", checks.RICHMOND_C, 2.5)
-    with pytest.raises(TypeError, match=r"^precision must be an exact int, got 2\.5$"):
+    with pytest.raises(TypeError, match=r"^order must be an exact int, got 2\.5$"):
         checks.verify_identity_B20(2.5)
+
+
+_S = Series([1, 2, 3])
+
+# every size, index and count argument: (call with the argument, its name in
+# the message, its floor or None); all go through series.exact_int
+EXACT_INT_ARGS = [
+    (lambda v: catalog.build("R", v), "precision", 0),
+    (lambda v: catalog.coefficient("A", v), "coefficient index", 0),
+    (Series.zero, "precision", 0),
+    (lambda v: Series.monomial(1, v, 3), "exponent", 0),
+    (lambda v: Series.monomial(1, 0, v), "precision", 0),
+    (lambda v: _S ** v, "exponent", 0),
+    (_S.shift, "shift", 0),
+    (_S.substitute_qm, "substitution power", 1),
+    (lambda v: _S.dissect(v, 0), "dissection modulus", 1),
+    (lambda v: products.theta(1, 5, v), "precision", 0),
+    (lambda v: expand_product(ProductSpec(), v), "precision", 0),
+    (lambda v: products.euler_f(v, 3), "k", 1),
+    (lambda v: ProductSpec(((v, 5, 1),)), "factor offset", 1),
+    (lambda v: ProductSpec(((1, v, 1),)), "factor modulus", 1),
+    (lambda v: checks.SignPattern(v, {}), "modulus", 1),
+    (lambda v: checks.SignPattern(5, {}, {v: 0}), "exception index", 0),
+    (checks.verify_identity_B20, "order", 1),
+    (checks.verify_identity_R5, "order", 1),
+    (lambda v: checks.verify_genfun("A_full", v), "order", 1),
+    (lambda v: checks.verify_dissection("A0", v), "order", 1),
+    (lambda v: checks.scan_signs("c", checks.RICHMOND_C, v), "n_max", 0),
+    (checks.check_conjecture13, "n_max", 0),
+    (checks.scan_asymptotic, "n_max", 0),
+    # type only; a range check with its own message may follow
+    (lambda v: Series([1, v]), "coefficient", None),
+    (lambda v: Series.monomial(v, 0, 3), "coefficient", None),
+    (_S.scale, "scale factor", None),
+    (_S.truncate, "precision", None),
+    (lambda v: _S.dissect(5, v), "residue", None),
+    (lambda v: products.theta(v, 5, 3), "a", None),
+    (lambda v: products.theta(1, v, 3), "m", None),
+    (lambda v: ProductSpec(((1, 5, v),)), "factor exponent", None),
+    (lambda v: checks.SignPattern(5, {v: checks.Sign.POS}), "residue", None),
+    (lambda v: checks.SignPattern(5, {}, {2: v}), "exception value at index 2", None),
+]
+
+
+@pytest.mark.parametrize(
+    "call, what, least", EXACT_INT_ARGS, ids=[f"{i}-{w}" for i, (_, w, _) in enumerate(EXACT_INT_ARGS)]
+)
+def test_every_size_index_and_count_is_an_exact_int(monkeypatch, call, what, least):
+    # a bool is refused like a float, a str or None, before any build: True
+    # once ran a scan as n_max = 1 and reported order_checked=True
+    monkeypatch.setattr(catalog, "_compute", _refuse_to_compute)
+    for bad in (True, 2.5, "3", None):
+        with pytest.raises(TypeError) as exc:
+            call(bad)
+        assert str(exc.value) == f"{what} must be an exact int, got {bad!r}"
+    if least is not None:
+        with pytest.raises(ValueError) as exc:
+            call(least - 1)
+        assert str(exc.value) == f"{what} must be >= {least}, got {least - 1}"
 
 
 def test_precision_ceiling_fails_before_computing(monkeypatch):

@@ -412,8 +412,8 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
 
 def test_out_of_memory_in_a_limited_child_is_a_usage_error():
     # a real MemoryError: the child caps its own address space a few MiB
-    # above its size after the import, so the first large allocation of
-    # R at 20,000 fails, in its multiply
+    # above its size after the import, so building D at 100,000 runs out
+    # of memory, whichever step makes the first large allocation
     pytest.importorskip("resource")
     if not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc/self/status to read the child's size from")
@@ -424,7 +424,7 @@ def test_out_of_memory_in_a_limited_child_is_a_usage_error():
         "    size = next(int(s.split()[1]) for s in f if s.startswith('VmSize:')) << 10\n"
         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
         "resource.setrlimit(resource.RLIMIT_AS, (size + (4 << 20), hard))\n"
-        "sys.exit(cli.main(['expand', 'Rq5', '--order', '100000']))\n"
+        "sys.exit(cli.main(['expand', 'Dratio', '--order', '100000']))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", child], capture_output=True, text=True, env=_child_env(), timeout=120
