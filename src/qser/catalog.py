@@ -154,6 +154,6 @@ def coefficient(name: str, n: int) -> int:
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None and hit.prec > n:
-        return hit[n]
+        return hit.coeffs[n]
     target = max(n + 1, min(MAX_PREC, max(64, 2 * (hit.prec if hit is not None else 0))))
-    return build(key, target)[n]
+    return build(key, target).coeffs[n]

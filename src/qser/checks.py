@@ -298,10 +298,8 @@ def scan_signs(
     exact_int(n_max, "n_max", 0)
     if subject is None:
         subject = f"scan-{name}"
-    series = catalog.build(name, n_max + 1)
     violations = []
-    for n in range(n_max + 1):
-        value = series[n]
+    for n, value in enumerate(catalog.build(name, n_max + 1).coeffs):
         if n in pattern.exceptions:
             want_value = pattern.exceptions[n]
             if value != want_value:
@@ -370,11 +368,11 @@ def scan_asymptotic(n_max: int) -> Report:
     are reported as violations either way.
     """
     exact_int(n_max, "n_max", 0)
-    series = catalog.build("c", n_max + 1)
+    coeffs = catalog.build("c", n_max + 1).coeffs
     indices = asymptotic_range(n_max)
     violations = []
     for n in indices:
-        exact = series[n]
+        exact = coeffs[n]
         predicted = asymptotic_c(n)
         if (exact > 0) != (predicted > 0) or exact == 0:
             violations.append(Violation(n, exact, _sign_of(1 if predicted > 0 else -1)))

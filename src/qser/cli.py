@@ -10,6 +10,7 @@ past ``catalog.MAX_PREC`` coefficients and on running out of memory. stdout
 carries data only and is byte-identical across identical runs; diagnostics
 go to stderr. JSON documents are single compact lines with every coefficient
 as a decimal string, so no consumer ever rounds a big integer.
+An unknown target, --order below 1 or --n-max below 0 exits 2 before any build.
 """
 
 from __future__ import annotations
@@ -92,19 +93,13 @@ def _print_reports(fmt, reports, doc, csv_tail, width, extras=()) -> None:
             print(line)
 
 
-# -- expand -------------------------------------------------------------------
+# -- commands -----------------------------------------------------------------
 
 
 def cmd_expand(args) -> int:
-    if args.name not in catalog.NAMES:
-        return _usage_error(
-            f"unknown series name {args.name!r} (valid: {', '.join(catalog.NAMES)})"
-        )
-    if args.order < 1:
-        return _usage_error(f"--order must be >= 1, got {args.order}")
-    series = catalog.build(args.name, args.order)
+    series = catalog.build(args.target, args.size)
     if args.fmt == "json":
-        _print_json({"name": args.name, "coeffs": [str(v) for v in series]})
+        _print_json({"name": args.target, "coeffs": [str(v) for v in series]})
     elif args.fmt == "csv":
         print("n,coefficient")
         for n, v in enumerate(series):
@@ -118,21 +113,12 @@ def cmd_expand(args) -> int:
     return 0
 
 
-# -- verify -------------------------------------------------------------------
-
-
 def cmd_verify(args) -> int:
-    if args.target != "all" and args.target not in VERIFY_TARGETS:
-        return _usage_error(
-            f"unknown verify target {args.target!r} (valid: {', '.join(VERIFY_TARGETS + ('all',))})"
-        )
-    if args.order < 1:
-        return _usage_error(f"--order must be >= 1, got {args.order}")
     targets = VERIFY_TARGETS if args.target == "all" else (args.target,)
     # dissections first: their 5*order+4 builds meet the precision ceiling
     # before anything is computed, and cover most of what the rest reads
     first = sorted(targets, key=lambda t: not t.startswith("dissect-"))
-    done = {t: checks.VERIFY_CHECKS[t](args.order) for t in first}
+    done = {t: checks.VERIFY_CHECKS[t](args.size) for t in first}
     reports = [done[t] for t in targets]
     docs = [_report_dict(r) for r in reports]
     doc = docs if args.target == "all" else docs[0]
@@ -140,24 +126,15 @@ def cmd_verify(args) -> int:
     return 0 if all(r.ok() for r in reports) else 1
 
 
-# -- scan ---------------------------------------------------------------------
-
-
 def cmd_scan(args) -> int:
-    if args.target not in SCAN_TARGETS:
-        return _usage_error(
-            f"unknown scan target {args.target!r} (valid: {', '.join(SCAN_TARGETS)})"
-        )
-    if args.n_max < 0:
-        return _usage_error(f"--n-max must be >= 0, got {args.n_max}")
     extras = []
     if args.target == "conjecture13":
-        parts = checks.check_conjecture13(args.n_max)
+        parts = checks.check_conjecture13(args.size)
         reports = list(parts.values())
         falsified = {k: list(r.falsified_at or ()) for k, r in parts.items()}
         doc = {
             "subject": "conjecture13",
-            "order_checked": args.n_max,
+            "order_checked": args.size,
             "status": "falsified" if any(falsified.values()) else "verified",
             "first_divergence": None,
             "violations": [
@@ -172,8 +149,8 @@ def cmd_scan(args) -> int:
         periods = " ".join(f"{k}={v}" for k, v in falsified.items())
         extras.append(f"conjecture13    {summary}: {periods}")
     elif args.target == "asymptotic-c":
-        report = checks.scan_asymptotic(args.n_max)
-        checked = len(checks.asymptotic_range(args.n_max))
+        report = checks.scan_asymptotic(args.size)
+        checked = len(checks.asymptotic_range(args.size))
         agreements = checked - len(report.violations)
         print(
             f"qser: asymptotic-c checked {checked} indices, {agreements} sign agreements",
@@ -185,7 +162,7 @@ def cmd_scan(args) -> int:
         extras.append(f"asymptotic-c    checked={checked} agreements={agreements}")
     else:
         name, pattern = checks.SIGN_SCANS[args.target]
-        reports = [checks.scan_signs(name, pattern, args.n_max, subject=args.target)]
+        reports = [checks.scan_signs(name, pattern, args.size, subject=args.target)]
         doc = _report_dict(reports[0])
         ok = reports[0].ok()
     _print_reports(args.fmt, reports, doc, "index,value,expected", 15, extras)
@@ -195,31 +172,33 @@ def cmd_scan(args) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+# each subcommand's parser arguments; main checks its target and size floor
+_COMMANDS = {
+    "expand": dict(help="print coefficients of a named series", func=cmd_expand, metavar="name",
+                   lead="series name, ", kind="series name", valid=catalog.NAMES, flag="--order",
+                   size_metavar="ORDER", default=10, size_help="number of coefficients", floor=1),
+    "verify": dict(help="check an identity coefficient-by-coefficient", func=cmd_verify, metavar="target",
+                   lead="", kind="verify target", valid=VERIFY_TARGETS + ("all",), flag="--order",
+                   size_metavar="ORDER", default=200, size_help="comparison order", floor=1),
+    "scan": dict(help="scan coefficient signs against a pattern", func=cmd_scan, metavar="target",
+                 lead="", kind="scan target", valid=SCAN_TARGETS, flag="--n-max",
+                 size_metavar="N_MAX", default=500, size_help="largest index", floor=0),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qser",
         description="Exact integer q-series expansions, identity checks, and sign scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", help="print coefficients of a named series")
-    p.add_argument("name", help=f"series name, one of: {', '.join(catalog.NAMES)}")
-    p.add_argument("--order", type=int, default=10, help="number of coefficients (default 10)")
-    p.add_argument("--format", dest="fmt", choices=FORMATS, default="table")
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("verify", help="check an identity coefficient-by-coefficient")
-    p.add_argument("target", help=f"one of: {', '.join(VERIFY_TARGETS + ('all',))}")
-    p.add_argument("--order", type=int, default=200, help="comparison order (default 200)")
-    p.add_argument("--format", dest="fmt", choices=FORMATS, default="table")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("scan", help="scan coefficient signs against a pattern")
-    p.add_argument("target", help=f"one of: {', '.join(SCAN_TARGETS)}")
-    p.add_argument("--n-max", dest="n_max", type=int, default=500, help="largest index (default 500)")
-    p.add_argument("--format", dest="fmt", choices=FORMATS, default="table")
-    p.set_defaults(func=cmd_scan)
-
+    for command, c in _COMMANDS.items():
+        p = sub.add_parser(command, help=c["help"])
+        p.add_argument("target", metavar=c["metavar"],
+                       help=f"{c['lead']}one of: {', '.join(c['valid'])}")
+        p.add_argument(c["flag"], dest="size", type=int, metavar=c["size_metavar"],
+                       default=c["default"], help=f"{c['size_help']} (default {c['default']})")
+        p.add_argument("--format", dest="fmt", choices=FORMATS, default="table")
     return parser
 
 
@@ -231,7 +210,14 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # argparse exits after --help and on usage errors
             code = exc.code if isinstance(exc.code, int) else 2
         else:
-            code = args.func(args)
+            c = _COMMANDS[args.command]
+            valid, floor = c["valid"], c["floor"]
+            if args.target not in valid:
+                code = _usage_error(f"unknown {c['kind']} {args.target!r} (valid: {', '.join(valid)})")
+            elif args.size < floor:
+                code = _usage_error(f"{c['flag']} must be >= {floor}, got {args.size}")
+            else:
+                code = c["func"](args)
         sys.stdout.flush()
     except catalog.PrecisionTooLarge as exc:
         return _usage_error(str(exc))

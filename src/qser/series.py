@@ -174,7 +174,7 @@ class Series:
     prec = property(__len__, doc="The number of known coefficients, read-only.")
 
     def __getitem__(self, n: int) -> int:
-        if not 0 <= n < len(self.coeffs):
+        if not 0 <= exact_int(n, "coefficient index") < len(self.coeffs):
             raise IndexError(f"coefficient {n} is beyond precision {len(self.coeffs)}")
         return self.coeffs[n]
 

@@ -71,10 +71,24 @@ MUTANTS = [
     (SERIES, "(lambda v: str(Decimal(v)))", "str", (T_SERIES,)),
     (SERIES, "(lambda s: int(Decimal(s)))", "int", (T_SERIES,)),
     (SERIES, "if i > k:", "if i >= k:", (T_SERIES,)),
+    # a wrong coefficient past the frozen digests (1,504 terms) shows only
+    # in the residue check at 5,002
+    (
+        SERIES,
+        "- half for o in range(n * w, 0, -w)]",
+        "- half + (o == (n - 1601) * w) for o in range(n * w, 0, -w)]",
+        (T_CATALOG,),
+    ),
+    (SERIES, "        b[k] = s\n", "        b[k] = s + (k == 1601)\n", (T_CATALOG,)),
     (SERIES, "groups.setdefault(-a0 * v, [])", "groups.setdefault(-v, [])", (T_SERIES,)),
     (SERIES, "s += c * t", "s += t", (T_SERIES,)),
     (SERIES, "return self + -other", "return self + other", (T_SERIES,)),
-    (SERIES, "if not 0 <= n < len(self.coeffs):", "if not n < len(self.coeffs):", (T_SERIES,)),
+    (
+        SERIES,
+        'if not 0 <= exact_int(n, "coefficient index") < len',
+        'if not exact_int(n, "coefficient index") < len',
+        (T_SERIES,),
+    ),
     (
         SERIES,
         'f"<Series of {self.prec} terms: {head}, ...>"',
@@ -198,6 +212,13 @@ MUTANTS = [
     (SERIES, 'if exact_int(m, "substitution power", 1) == 1:', "if m == 1:", (T_CATALOG, T_SERIES)),
     (SERIES, '        exact_int(m, "dissection modulus", 1)\n', "", (T_CATALOG, T_SERIES)),
     (SERIES, 'exact_int(j, "residue") < m:', "j < m:", (T_CATALOG, T_SERIES)),
+    (SERIES, 'if not 0 <= exact_int(n, "coefficient index") <', "if not 0 <= n <", (T_CATALOG, T_SERIES)),
+    (
+        SERIES,
+        'exact_int(n, "coefficient index") < len',
+        'exact_int(int(n), "coefficient index") < len',
+        (T_CATALOG, T_SERIES),
+    ),
     (
         PRODUCTS,
         '            exact_int(a, "factor offset", 1)\n',
@@ -260,14 +281,17 @@ MUTANTS = [
     ),
     (
         CHECKS,
-        '    exact_int(n_max, "n_max", 0)\n    series = catalog.build("c"',
-        '    series = catalog.build("c"',
+        '    exact_int(n_max, "n_max", 0)\n    coeffs = catalog.build("c"',
+        '    coeffs = catalog.build("c"',
         (T_CATALOG, T_CHECKS),
     ),
     # a smaller build never replaces a larger cache entry, and a cached
     # coefficient is read without a build
     (CATALOG, "if hit is None or hit.prec < out.prec:", "if True:", (T_CATALOG,)),
     (CATALOG, "if hit is not None and hit.prec > n:", "if False:", (T_CATALOG,)),
+    # main checks every subcommand's target, then its size against the floor
+    (CLI, "if args.target not in valid:", "if False:", (T_CLI,)),
+    (CLI, "elif args.size < floor:", "elif args.size <= floor:", (T_CLI,)),
     (CLI, "except catalog.PrecisionTooLarge as exc:", "except ZeroDivisionError as exc:", (T_CLI,)),
     (CLI, "except MemoryError:", "except ZeroDivisionError:", (T_CLI,)),
     (CLI, "        sys.stdout.flush()\n", "", (T_CLI,)),
@@ -426,8 +450,8 @@ MUTANTS = [
     (CHECKS, "(predicted > 0) or exact == 0:", "(predicted > 0):", (T_CHECKS,)),
     (
         CLI,
-        "checked = len(checks.asymptotic_range(args.n_max))",
-        "checked = args.n_max - checks.ASYMPTOTIC_N_MIN",
+        "checked = len(checks.asymptotic_range(args.size))",
+        "checked = args.size - checks.ASYMPTOTIC_N_MIN",
         (T_CLI,),
     ),
     (CHECKS, "range(ASYMPTOTIC_N_MIN, n_max + 1)", "range(ASYMPTOTIC_N_MIN, n_max)", (T_CHECKS,)),

@@ -8,6 +8,7 @@ import pytest
 
 import oracle
 import qser
+import residues
 from qser import catalog, checks, products, series
 from qser.products import ProductSpec, expand_product
 from qser.series import Series
@@ -283,6 +284,7 @@ EXACT_INT_ARGS = [
     (lambda v: ProductSpec(((1, 5, v),)), "factor exponent", None),
     (lambda v: checks.SignPattern(5, {v: checks.Sign.POS}), "residue", None),
     (lambda v: checks.SignPattern(5, {}, {2: v}), "exception value at index 2", None),
+    (lambda v: _S[v], "coefficient index", None),
 ]
 
 
@@ -328,6 +330,36 @@ def test_coefficient_growth_stops_at_the_ceiling(monkeypatch):
     catalog.coefficient("d", half + 1)  # doubling would pass the ceiling
     assert catalog.coefficient("d", catalog.MAX_PREC - 1) == 0
     assert built == [half + 1, catalog.MAX_PREC]
+
+
+def test_residue_helpers_agree_with_the_oracle():
+    n = 60
+    for a, m in ((1, 5), (2, 5), (5, 15), (1, 3), (10, 25)):
+        want = oracle.product(((a, m, 1), (m - a, m, 1), (m, m, 1)), n)
+        assert residues.theta(a, m, n) == [v % residues.P for v in want]
+    x = [(-1) ** i * 3**i for i in range(n)]
+    y = [i - 30 for i in range(n)]
+    got = residues.mul([v % residues.P for v in x], [v % residues.P for v in y], n)
+    assert got == [v % residues.P for v in oracle.mul(x, y, n)]
+
+
+def test_every_canonical_name_has_a_defining_product():
+    assert tuple(residues.DEFINING) == tuple(n for n in catalog.NAMES if n not in catalog.ALIASES)
+
+
+@pytest.mark.parametrize("name", residues.DEFINING)
+def test_every_name_times_its_divisor_is_its_dividend_mod_p(name):
+    # independent of the engine's multiply and division past the frozen
+    # digests, which stop at 1,504 coefficients
+    lhs, rhs = residues.sides(name, 5002)
+    bad = [i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y]
+    assert not bad, f"{name} first differs from its defining product at index {bad[0]}"
+
+
+def test_fratio51_is_positive_to_5002():
+    # with dissect-C0, sum C(5n) q**n = 1 - 25q * Fratio51, this gives
+    # C(5n) < 0 for 1 <= n <= 5002, the residue-0 part of thm4
+    assert min(catalog.build("Fratio51", 5002)) > 0
 
 
 def test_rebuild_preserves_prefix():
