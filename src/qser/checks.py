@@ -4,6 +4,7 @@ Identity checks compare exact integer coefficients of two independently
 built series; there is no tolerance anywhere. Sign scans test each
 coefficient against a periodic pattern of strict signs, with finitely many
 enumerated exception indices that carry exact expected values instead.
+Each 5-dissection is one ``_DISSECTIONS`` row: series sliced, residue, closed form.
 
 Every report lists all the violations its scan found. The conjecture 13
 scan marks a broken claim FALSIFIED, with the pattern periods where it
@@ -242,7 +243,18 @@ def verify_genfun(which: str, prec: int) -> Report:
     return _compare(which, lhs, rhs, prec)
 
 
-_DISSECTIONS = {"A0": ("R5inv", 0), "B0": ("R5", 0), "D1": ("Dratio", 1), "C0": ("Cratio", 0)}
+def _bracket(prec: int) -> Series:
+    return Series.one(prec) - catalog.build("Fratio51", prec).scale(25).shift(1)
+
+
+# target -> (series sliced, residue, closed form of the slice at order p)
+_DISSECTIONS = {
+    "A0": ("R5inv", 0, lambda p: catalog.build("Rinv", p) * _bracket(p)),
+    "B0": ("R5", 0, lambda p: catalog.build("R", p) * _bracket(p)),
+    "D1": ("Dratio", 1, lambda p: catalog.build("Fratio51", p) * catalog.build("R", p)
+           * (catalog.build("R5inv", p).scale(5) - Series.monomial(40, 1, p))),
+    "C0": ("Cratio", 0, _bracket),
+}
 
 
 def verify_dissection(which: str, prec: int) -> Report:
@@ -254,19 +266,9 @@ def verify_dissection(which: str, prec: int) -> Report:
     if which not in _DISSECTIONS:
         raise ValueError(f"unknown dissection target {which!r}")
     exact_int(prec, "order", 1)
-    name, j = _DISSECTIONS[which]
+    name, j, closed_form = _DISSECTIONS[which]
     lhs = catalog.build(name, 5 * prec + 4).dissect(5, j)
-    bracket = Series.one(prec) - catalog.build("Fratio51", prec).scale(25).shift(1)
-    if which == "A0":
-        rhs = catalog.build("Rinv", prec) * bracket
-    elif which == "B0":
-        rhs = catalog.build("R", prec) * bracket
-    elif which == "C0":
-        rhs = bracket
-    else:
-        five_a = catalog.build("R5inv", prec).scale(5) - Series.monomial(40, 1, prec)
-        rhs = catalog.build("Fratio51", prec) * catalog.build("R", prec) * five_a
-    return _compare(f"dissect-{which}", lhs, rhs, prec)
+    return _compare(f"dissect-{which}", lhs, closed_form(prec), prec)
 
 
 # verify target -> check of the order, in report order; each entry looks its
@@ -312,12 +314,6 @@ def scan_signs(
     return Report(subject, n_max, status, violations=tuple(violations))
 
 
-def _scan_claim(name: str, pattern: SignPattern, n_max: int) -> Report:
-    report = scan_signs(name, pattern, n_max, subject=f"conjecture13-{name}")
-    periods = tuple(sorted({v.index // pattern.modulus for v in report.violations}))
-    return report._replace(status=Status.FALSIFIED, falsified_at=periods) if periods else report
-
-
 def check_conjecture13(n_max: int) -> dict[str, Report]:
     """Scan the all-n sign claims for A(5n), B(5n), D(5n+1) up to n_max.
 
@@ -330,10 +326,13 @@ def check_conjecture13(n_max: int) -> dict[str, Report]:
     # B first builds R to 5*n_max + 1; D then needs R only to n_max + 1 (for
     # R(q**5)) and builds R5inv to 5*n_max + 2, which A reads as a prefix.
     # Any other order computes R or R5inv twice.
-    b = _scan_claim("B", CONJ13_B, 5 * n_max)
-    d = _scan_claim("D", CONJ13_D, 5 * n_max + 1)
-    a = _scan_claim("A", CONJ13_A, 5 * n_max)
-    return {"A": a, "B": b, "D": d}
+    reports = {}
+    for name, pattern, last in (("B", CONJ13_B, 5 * n_max), ("D", CONJ13_D, 5 * n_max + 1),
+                                ("A", CONJ13_A, 5 * n_max)):
+        r = scan_signs(name, pattern, last, subject=f"conjecture13-{name}")
+        periods = tuple(sorted({v.index // pattern.modulus for v in r.violations}))
+        reports[name] = r._replace(status=Status.FALSIFIED, falsified_at=periods) if periods else r
+    return {k: reports[k] for k in "ABD"}
 
 
 # -- asymptotic cross-check --------------------------------------------------

@@ -168,6 +168,27 @@ MUTANTS = [
         "(euler_f(1, p) / euler_f(5, p)) ** 5",
         (T_CATALOG,),
     ),
+    # one theta offset or power in a recipe; the product-exponent test alone
+    # kills each (theta(a, m) equals theta(m - a, m), so no offset goes to m - a)
+    (
+        CATALOG,
+        '"G": lambda p: theta(5, 15, p) / theta(1, 5, p),',
+        '"G": lambda p: theta(5, 15, p) / theta(2, 5, p),',
+        (T_CATALOG,),
+    ),
+    (
+        CATALOG,
+        '"H": lambda p: theta(5, 15, p) / theta(2, 5, p),',
+        '"H": lambda p: theta(4, 15, p) / theta(2, 5, p),',
+        (T_CATALOG,),
+    ),
+    (CATALOG, 'build("R", p) ** 5,', 'build("R", p) ** 4,', (T_CATALOG,)),
+    (
+        CATALOG,
+        "(euler_f(5, p) / euler_f(1, p)) ** 6",
+        "(euler_f(5, p) / euler_f(1, p)) ** 7",
+        (T_CATALOG,),
+    ),
     # the precision ceiling and the cache growth
     (
         CATALOG,
@@ -263,8 +284,8 @@ MUTANTS = [
     ),
     (
         CHECKS,
-        '    exact_int(prec, "order", 1)\n    name, j = ',
-        "    name, j = ",
+        '    exact_int(prec, "order", 1)\n    name, j, closed_form = ',
+        "    name, j, closed_form = ",
         (T_CATALOG, T_CHECKS),
     ),
     (
@@ -318,10 +339,19 @@ MUTANTS = [
         (T_CHECKS,),
     ),
     (CHECKS, "x_inv ** power *", "x_inv ** (power - 1) *", (T_CHECKS,)),
+    # each dissection row: its order, residue and closed form
     (
         CHECKS,
-        '"D1": ("Dratio", 1), "C0": ("Cratio", 0)}',
-        '"C0": ("Cratio", 0), "D1": ("Dratio", 1)}',
+        '    "C0": ("Cratio", 0, _bracket),\n}\n',
+        '}\n_DISSECTIONS = {"C0": ("Cratio", 0, _bracket), **_DISSECTIONS}\n',
+        (T_CHECKS,),
+    ),
+    (CHECKS, '"B0": ("R5", 0,', '"B0": ("R5", 1,', (T_CHECKS,)),
+    (CHECKS, "Series.monomial(40, 1, p)", "Series.monomial(41, 1, p)", (T_CHECKS,)),
+    (
+        CHECKS,
+        'catalog.build("Fratio51", prec).scale(25)',
+        'catalog.build("Fratio51", prec).scale(24)',
         (T_CHECKS,),
     ),
     (
@@ -373,17 +403,18 @@ MUTANTS = [
     ),
     (
         CHECKS,
-        "falsified_at=periods) if periods else report",
-        "falsified_at=periods) if False else report",
+        "falsified_at=periods) if periods else r\n",
+        "falsified_at=periods) if False else r\n",
         (T_CHECKS,),
     ),
     (CHECKS, "v.index // pattern.modulus", "v.index // (pattern.modulus + 1)", (T_CHECKS,)),
     (
         CHECKS,
-        'return {"A": a, "B": b, "D": d}',
-        'return {"A": b, "B": a, "D": d}',
+        'return {k: reports[k] for k in "ABD"}',
+        'return {"A": reports["B"], "B": reports["A"], "D": reports["D"]}',
         (T_CHECKS,),
     ),
+    (CHECKS, '("D", CONJ13_D, 5 * n_max + 1)', '("D", CONJ13_D, 5 * n_max)', (T_CHECKS,)),
     (
         CHECKS,
         'CONJ13_FALSIFIED_AT = {"A": [0], "B": [0], "D": []}',

@@ -124,3 +124,21 @@ def f_ratio(num_k, den_k, e, n):
     num = power(poch(num_k, num_k, n), e, n)
     den = power(poch(den_k, den_k, n), e, n)
     return mul(num, inv(den, n), n)
+
+
+def prodmake(b, n):
+    """Exponents a[1..n-1] with b = prod (1 - q^k)^a[k] to n terms; b[0] == 1.
+
+    With c_k = sum of d * a_d over d | k, the logarithmic derivative gives
+    c_k = -k*b_k - sum_{j<k} c_j * b_{k-j}; a_k is then c_k less the proper
+    divisors' share, over k. a[0] is 0; every division must be exact.
+    """
+    assert b[0] == 1
+    c = [0] * n
+    a = [0] * n
+    for k in range(1, n):
+        c[k] = -k * b[k] - sum(c[j] * b[k - j] for j in range(1, k))
+        rest = c[k] - sum(d * a[d] for d in range(1, k // 2 + 1) if k % d == 0)
+        assert rest % k == 0, (k, rest)
+        a[k] = rest // k
+    return a

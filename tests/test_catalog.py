@@ -1,6 +1,7 @@
 """Named series registry: recipes, aliases, cache behavior, frozen values."""
 
 import math
+import random
 import re
 import threading
 
@@ -140,23 +141,25 @@ def test_every_recipe_divides_by_a_theta_series(monkeypatch):
     # dense divisor would cost O(n**2); theta(a, m) and euler_f(k) have at
     # most 2 * isqrt(2 * prec) + 2 nonzero terms below q**prec.  It adds up
     # the terms of each value before it multiplies, and every divisor has at
-    # most two values
+    # most two values.  The spy reads each divisor `/` is given, whatever
+    # routine then divides, and every cold build divides at least once
     prec = 1000
-    real_inverse = Series.inverse
-    inverted = []
+    real_truediv = Series.__truediv__
+    divisors = []
 
-    def spy(self):
-        inverted.append((sum(1 for v in self if v), len(set(self) - {0})))
-        return real_inverse(self)
+    def spy(self, other):
+        divisors.append((sum(1 for v in other if v), len(set(other) - {0})))
+        return real_truediv(self, other)
 
-    monkeypatch.setattr(Series, "inverse", spy)
+    monkeypatch.setattr(Series, "__truediv__", spy)
     for name in catalog._RECIPES:
         catalog.clear_cache()
-        inverted.clear()
+        divisors.clear()
         catalog.build(name, prec)
-        for terms, values in inverted:
-            assert terms <= 2 * math.isqrt(2 * prec) + 2, (name, inverted)
-            assert values <= 2, (name, inverted)
+        assert divisors, name
+        for terms, values in divisors:
+            assert terms <= 2 * math.isqrt(2 * prec) + 2, (name, divisors)
+            assert values <= 2, (name, divisors)
 
 
 def test_product_forms_share_no_engine_code(monkeypatch):
@@ -354,6 +357,59 @@ def test_every_name_times_its_divisor_is_its_dividend_mod_p(name):
     lhs, rhs = residues.sides(name, 5002)
     bad = [i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y]
     assert not bad, f"{name} first differs from its defining product at index {bad[0]}"
+
+
+def _r_exponent(k):
+    return (0, 1, -1, -1, 1)[k % 5]
+
+
+def _rq5_exponent(k):
+    return _r_exponent(k // 5) if k % 5 == 0 else 0
+
+
+# each canonical name as the product of (1 - q**k)**a_k over k >= 1: a_k by
+# k mod 5, or mod 25 for the series in q**5, independent of the recipes
+EXPONENTS = {
+    "G": lambda k: -1 if k % 5 in (1, 4) else 0,
+    "H": lambda k: -1 if k % 5 in (2, 3) else 0,
+    "G_sum": lambda k: -1 if k % 5 in (1, 4) else 0,
+    "H_sum": lambda k: -1 if k % 5 in (2, 3) else 0,
+    "R": _r_exponent,
+    "Rinv": lambda k: -_r_exponent(k),
+    "R5": lambda k: 5 * _r_exponent(k),
+    "R5inv": lambda k: -5 * _r_exponent(k),
+    "Rq5": _rq5_exponent,
+    "Cratio": lambda k: 5 * _r_exponent(k) - _rq5_exponent(k),
+    "Dratio": lambda k: _rq5_exponent(k) - 5 * _r_exponent(k),
+    "Fratio15": lambda k: 6 if k % 5 else 0,
+    "Fratio51": lambda k: -6 if k % 5 else 0,
+}
+
+
+def test_every_canonical_name_has_an_exponent_table():
+    assert tuple(EXPONENTS) == tuple(n for n in catalog.NAMES if n not in catalog.ALIASES)
+
+
+@pytest.mark.parametrize("name", EXPONENTS)
+def test_every_name_has_its_product_exponents(name):
+    # prodmake is a bijection from series with constant term 1 to exponent
+    # vectors, so a wrong coefficient at index k shows as a wrong a_k there
+    n = 601
+    got = oracle.prodmake(catalog.build(name, n).coeffs, n)
+    want = [0] + [EXPONENTS[name](k) for k in range(1, n)]
+    bad = [k for k in range(n) if got[k] != want[k]]
+    assert not bad, f"{name}: exponent {got[bad[0]]} at k = {bad[0]}, want {want[bad[0]]}"
+
+
+def test_prodmake_recovers_random_periodic_exponents():
+    rng = random.Random(28)
+    n = 60
+    for _ in range(12):
+        m = rng.randint(1, 7)
+        e = [rng.randint(-3, 3) for _ in range(m)]
+        factors = [(a, m, e[a % m]) for a in range(1, m + 1) if e[a % m]]
+        want = [0] + [e[k % m] for k in range(1, n)]
+        assert oracle.prodmake(oracle.product(factors, n), n) == want, (m, e)
 
 
 def test_fratio51_is_positive_to_5002():

@@ -372,6 +372,26 @@ def test_conjecture13_computes_each_name_once(monkeypatch):
     assert counts and max(counts.values()) == 1, counts
 
 
+def test_dissection_route_equals_the_direct_route_at_n_max_1000():
+    # the slices A(5n), B(5n), D(5n+1) from the dissect-X closed forms at
+    # 1,001 terms equal the direct slices of A, B and D built to 5,002, and
+    # each claim breaks at the same periods as the direct scan's
+    n_max = 1000
+    parts = checks.check_conjecture13(n_max)
+    for series, target, claim in (
+        ("A", "A0", checks.CONJ13_A),
+        ("B", "B0", checks.CONJ13_B),
+        ("D", "D1", checks.CONJ13_D),
+    ):
+        name, j, closed_form = checks._DISSECTIONS[target]
+        assert catalog.ALIASES[series] == name
+        sliced = closed_form(n_max + 1)
+        assert sliced == catalog.build(series, 5 * n_max + 2).dissect(5, j), target
+        broken = [n for n, v in enumerate(sliced) if checks._sign_of(v) is not claim.expected[j]]
+        assert broken == checks.CONJ13_FALSIFIED_AT[series], target
+        assert broken == list(parts[series].falsified_at or ()), target
+
+
 def test_conjecture13_at_period_zero():
     parts = checks.check_conjecture13(0)
     assert parts["D"].ok()
