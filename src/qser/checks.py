@@ -11,8 +11,8 @@ scan marks a broken claim FALSIFIED, with the pattern periods where it
 breaks, rather than as an error in this package.
 
 The one numeric routine, ``asymptotic_c``, evaluates a closed-form main
-term in double precision; it is compared with exact coefficients only
-through signs, never through equality.
+term in double precision; its sign is read once per residue class mod 5
+and becomes a SignPattern, so every sign verdict here is a scan_signs scan.
 """
 
 from __future__ import annotations
@@ -168,14 +168,11 @@ SIGN_SCANS = {
 
 
 def _compare(subject: str, lhs: Series, rhs: Series, prec: int) -> Report:
+    a, b = lhs.coeffs, rhs.coeffs
     for i in range(prec):
-        if lhs[i] != rhs[i]:
-            return Report(
-                subject,
-                prec,
-                Status.VIOLATED,
-                first_divergence=Divergence(i, lhs[i], rhs[i]),
-            )
+        if a[i] != b[i]:
+            return Report(subject, prec, Status.VIOLATED,
+                          first_divergence=Divergence(i, a[i], b[i]))
     return Report(subject, prec, Status.VERIFIED)
 
 
@@ -342,8 +339,7 @@ def asymptotic_c(n: int) -> float:
     """Main term of the growth formula for c(n), in double precision:
     sqrt(2) * (5n)**(-3/4) * exp((4*pi/25)*sqrt(5n)) * cos((2*pi/5)*(n - 2/5)).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    exact_int(n, "n", 1)
     amplitude = math.sqrt(2.0) / (5.0 * n) ** 0.75
     try:
         growth = math.exp((4.0 * math.pi / 25.0) * math.sqrt(5.0 * n))
@@ -354,7 +350,7 @@ def asymptotic_c(n: int) -> float:
 
 def asymptotic_range(n_max: int) -> range:
     """The indices that scan_asymptotic(n_max) checks."""
-    return range(ASYMPTOTIC_N_MIN, n_max + 1)
+    return range(ASYMPTOTIC_N_MIN, exact_int(n_max, "n_max", 0) + 1)
 
 
 def scan_asymptotic(n_max: int) -> Report:
@@ -362,20 +358,16 @@ def scan_asymptotic(n_max: int) -> Report:
     asymptotic_range(n_max).
 
     The cosine factor depends only on n mod 5 and is at least 0.18 in
-    absolute value, so every index in the range is checked. VERIFIED means
-    the agreement rate is at least ASYMPTOTIC_MIN_AGREEMENT; disagreements
-    are reported as violations either way.
+    absolute value, so the main term's sign is read once per residue class
+    and c is scanned against that pattern by scan_signs. VERIFIED means the
+    agreement rate is at least ASYMPTOTIC_MIN_AGREEMENT; disagreements are
+    reported as violations either way.
     """
-    exact_int(n_max, "n_max", 0)
-    coeffs = catalog.build("c", n_max + 1).coeffs
     indices = asymptotic_range(n_max)
-    violations = []
-    for n in indices:
-        exact = coeffs[n]
-        predicted = asymptotic_c(n)
-        if (exact > 0) != (predicted > 0) or exact == 0:
-            violations.append(Violation(n, exact, _sign_of(1 if predicted > 0 else -1)))
+    first = ASYMPTOTIC_N_MIN
+    pattern = SignPattern(5, {n % 5: _sign_of(asymptotic_c(n)) for n in range(first, first + 5)})
+    violations = tuple(v for v in scan_signs("c", pattern, n_max).violations if v.index >= first)
     agreements = len(indices) - len(violations)
     ok = not indices or agreements / len(indices) >= ASYMPTOTIC_MIN_AGREEMENT
     status = Status.VERIFIED if ok else Status.VIOLATED
-    return Report("asymptotic-c", n_max, status, violations=tuple(violations))
+    return Report("asymptotic-c", n_max, status, violations=violations)

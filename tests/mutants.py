@@ -300,12 +300,8 @@ MUTANTS = [
         "    # B first",
         (T_CATALOG, T_CHECKS),
     ),
-    (
-        CHECKS,
-        '    exact_int(n_max, "n_max", 0)\n    coeffs = catalog.build("c"',
-        '    coeffs = catalog.build("c"',
-        (T_CATALOG, T_CHECKS),
-    ),
+    (CHECKS, 'exact_int(n_max, "n_max", 0) + 1)', "n_max + 1)", (T_CATALOG, T_CHECKS)),
+    (CHECKS, '    exact_int(n, "n", 1)\n', "", (T_CATALOG, T_CHECKS)),
     # a smaller build never replaces a larger cache entry, and a cached
     # coefficient is read without a build
     (CATALOG, "if hit is None or hit.prec < out.prec:", "if True:", (T_CATALOG,)),
@@ -322,7 +318,8 @@ MUTANTS = [
         "first = targets",
         (T_CLI,),
     ),
-    # identity checks
+    # identity checks; a side shorter than the order is an error, not a pass
+    (CHECKS, "for i in range(prec):", "for i in range(min(prec, len(a), len(b))):", (T_CHECKS,)),
     (CHECKS, "qx = x.shift(1).truncate(x.prec)", "qx = x", (T_CHECKS,)),
     (CHECKS, "for w in reversed(weights[1:-1]):", "for w in weights[1:-1]:", (T_CHECKS,)),
     (CHECKS, "lhs, lhs - gap, prec)", "lhs, lhs + gap, prec)", (T_CHECKS,)),
@@ -478,20 +475,26 @@ MUTANTS = [
         "agreements / len(indices) > ASYMPTOTIC_MIN_AGREEMENT",
         (T_CHECKS,),
     ),
-    (CHECKS, "(predicted > 0) or exact == 0:", "(predicted > 0):", (T_CHECKS,)),
+    (CHECKS, "if v.index >= first)", "if v.index > first)", (T_CHECKS,)),
+    (CHECKS, "range(first, first + 5)", "range(first, first + 4)", (T_CHECKS,)),
     (
         CLI,
         "checked = len(checks.asymptotic_range(args.size))",
         "checked = args.size - checks.ASYMPTOTIC_N_MIN",
         (T_CLI,),
     ),
-    (CHECKS, "range(ASYMPTOTIC_N_MIN, n_max + 1)", "range(ASYMPTOTIC_N_MIN, n_max)", (T_CHECKS,)),
-    (CHECKS, "_sign_of(1 if predicted > 0 else -1)", "_sign_of(exact)", (T_CHECKS,)),
+    (
+        CHECKS,
+        'range(ASYMPTOTIC_N_MIN, exact_int(n_max, "n_max", 0) + 1)',
+        'range(ASYMPTOTIC_N_MIN, exact_int(n_max, "n_max", 0))',
+        (T_CHECKS,),
+    ),
+    (CHECKS, "_sign_of(asymptotic_c(n))", "_sign_of(-asymptotic_c(n))", (T_CHECKS,)),
     (CHECKS, "growth = math.inf", "growth = 0.0", (T_CHECKS,)),
     (
         CHECKS,
-        'return Report("asymptotic-c", n_max, status, violations=tuple(violations))',
-        'return Report("asymptotic-c", n_max, status, violations=tuple(violations[:20]))',
+        'return Report("asymptotic-c", n_max, status, violations=violations)',
+        'return Report("asymptotic-c", n_max, status, violations=violations[:20])',
         (T_CHECKS,),
     ),
 ]

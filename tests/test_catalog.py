@@ -288,6 +288,9 @@ EXACT_INT_ARGS = [
     (lambda v: checks.SignPattern(5, {v: checks.Sign.POS}), "residue", None),
     (lambda v: checks.SignPattern(5, {}, {2: v}), "exception value at index 2", None),
     (lambda v: _S[v], "coefficient index", None),
+    # an id is the entry's position, so new entries go last
+    (checks.asymptotic_range, "n_max", 0),
+    (checks.asymptotic_c, "n", 1),
 ]
 
 

@@ -178,6 +178,13 @@ def test_compare_reports_first_divergence():
     assert report.first_divergence == checks.Divergence(1, 2, 9)
 
 
+@pytest.mark.parametrize("lhs,rhs", [([1, 2], [1, 2, 3]), ([1, 2, 3], [1, 2])])
+def test_compare_refuses_a_side_shorter_than_the_order(lhs, rhs):
+    # the prefixes agree, so only the length can fail the check
+    with pytest.raises(IndexError):
+        checks._compare("probe", Series(lhs), Series(rhs), 3)
+
+
 # -- sign scans ----------------------------------------------------------------
 
 
@@ -413,6 +420,13 @@ def test_asymptotic_validation():
         checks.asymptotic_c(0)
     with pytest.raises(ValueError):
         checks.scan_asymptotic(-1)
+
+
+def test_asymptotic_sign_is_the_richmond_c_pattern_up_to_the_ceiling():
+    # scan_asymptotic reads the main term's sign once per residue class
+    expected = checks.RICHMOND_C.expected
+    for n in range(1, catalog.MAX_PREC + 1):
+        assert checks._sign_of(checks.asymptotic_c(n)) is expected[n % 5], n
 
 
 def test_asymptotic_signs_match_exact_coefficients():
